@@ -2,7 +2,7 @@
 
 The paper integrates repro<double,4> into MonetDB and reports CPU time
 relative to unmodified doubles; here the engine is Spark SQL and the
-operator is the mapInPandas/applyInPandas pipeline of
+operator is the mapInPandas partial → shuffle → SQL merge pipeline of
 ``repro.spark.repro_sum``. Variants:
 
 * ``double``            — native Spark sums (non-reproducible baseline);

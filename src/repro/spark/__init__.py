@@ -2,8 +2,8 @@
 
 * :mod:`repro.spark.repro_sum` — the headline deliverable: associative
   reproducible states + vectorized batch summation over Arrow batches,
-  as a two-phase mapInPandas/applyInPandas pipeline and as a grouped-agg
-  pandas UDAF.
+  as a mapInPandas partial → shuffle → SQL align/sum/renorm/finalize
+  pipeline and as a grouped-agg pandas UDAF.
 * :mod:`repro.spark.sorted_agg` — reproducible-by-sorting baseline.
 * :mod:`repro.spark.tpch` — TPC-H Q1 variants for Table IV.
 """

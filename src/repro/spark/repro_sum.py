@@ -6,20 +6,22 @@ physical aggregation operator in Spark, per the repro plan: an
 ``repro.core.binned``) with *vectorized batch summation* over Arrow
 record batches.
 
-Pipeline shape (mirrors Spark's own partial-aggregate → shuffle → final
-merge):
+Pipeline shape: mapInPandas partial → shuffle → SQL align/sum/renorm/
+finalize (mirrors Spark's own partial-aggregate → shuffle → final merge):
 
 1. ``mapInPandas`` — within each input partition, every Arrow batch is
    grouped and deposited through the vectorized kernel into per-group
    binned states (with summation buffers by default: the buffered
    accumulator of Section V; ``buffered=False`` gives the per-element
    drop-in path of Section IV). One state row per (group, partition) is
-   emitted.
-2. ``groupBy(keys).applyInPandas`` — partial states of a group meet
-   after the shuffle in arbitrary order; because the state is
-   associative and its per-level sums are exact, the merge result is
+   emitted, as flat ``LongType`` columns ``<v>__e``, ``<v>__d0..`` and
+   ``<v>__c0..``.
+2. Spark SQL expressions, run entirely in the JVM (:func:`_merge_states`):
+   after the shuffle every state row is aligned to its group's largest
+   window, the per-level deviations and carries are summed as exact
+   longs, renormalised, and finalised lowest level first. Because the
+   state is associative and its per-level sums are exact, the result is
    bit-identical for any order/partitioning.
-3. Finalisation rounds each group's state to one float.
 
 A single-phase grouped-aggregate pandas UDAF (:func:`repro_sum_udf`) is
 also provided for direct use in ``df.groupBy(...).agg(...)``.
@@ -33,7 +35,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from ..core.binned import BinnedSum, GroupedBinnedAcc
-from ..core.params import fmt_for
+from ..core.params import EMPTY_E, FloatFormat, fmt_for
 
 __all__ = ["rsum_groupby", "repro_sum_udf"]
 
@@ -42,9 +44,38 @@ def _as_list(x) -> list[str]:
     return [x] if isinstance(x, str) else list(x)
 
 
-def _sum_field(vc: str, dtype) -> T.StructField:
-    t = T.FloatType() if np.dtype(dtype) == np.float32 else T.DoubleType()
-    return T.StructField(f"{vc}_rsum", t)
+def _key_codes(pdf: pd.DataFrame, keycols: list[str], index: dict,
+               rows: list) -> np.ndarray:
+    """Dense per-partition group code of every row of one Arrow batch.
+
+    ``index`` maps key tuples to codes and ``rows`` lists the key tuples
+    in code order; both persist across the batches of a partition and
+    grow with every key not seen before.
+    """
+    codes_local = pdf.groupby(keycols, sort=False, dropna=False).ngroup().to_numpy()
+    first = np.unique(codes_local, return_index=True)[1]
+    ktups = [
+        tuple(r)
+        for r in pdf.iloc[first][keycols].itertuples(index=False, name=None)
+    ]
+    gcodes = np.empty(len(ktups), np.int64)
+    for i, t in enumerate(ktups):
+        code = index.get(t)
+        if code is None:
+            code = len(index)
+            index[t] = code
+            rows.append(t)
+        gcodes[i] = code
+    return gcodes[codes_local]
+
+
+def _state_fields(vc: str, L: int) -> list[T.StructField]:
+    """Flat state columns of value column ``vc``: window, deviations, carries."""
+    return (
+        [T.StructField(f"{vc}__e", T.LongType())]
+        + [T.StructField(f"{vc}__d{lev}", T.LongType()) for lev in range(L)]
+        + [T.StructField(f"{vc}__c{lev}", T.LongType()) for lev in range(L)]
+    )
 
 
 def rsum_groupby(
@@ -71,16 +102,10 @@ def rsum_groupby(
     npdtype = fmt.dtype.type
     ncols = len(valcols)
 
-    key_fields = [df.schema[k] for k in keycols]
-    state_fields = list(key_fields)
+    state_fields = [df.schema[k] for k in keycols]
     for vc in valcols:
-        state_fields += [
-            T.StructField(f"{vc}__e", T.LongType()),
-            T.StructField(f"{vc}__dev", T.ArrayType(T.LongType())),
-            T.StructField(f"{vc}__C", T.ArrayType(T.LongType())),
-        ]
+        state_fields += _state_fields(vc, L)
     state_schema = T.StructType(state_fields)
-    out_schema = T.StructType(list(key_fields) + [_sum_field(v, npdtype) for v in valcols])
 
     def partial(batches):
         """Per-partition partial aggregation with vectorized deposits."""
@@ -94,27 +119,25 @@ def rsum_groupby(
         for pdf in batches:
             if len(pdf) == 0:
                 continue
-            codes_local = pdf.groupby(keycols, sort=False, dropna=False).ngroup().to_numpy()
-            first = np.unique(codes_local, return_index=True)[1]
-            ktups = [
-                tuple(r)
-                for r in pdf.iloc[first][keycols].itertuples(index=False, name=None)
-            ]
-            gcodes = np.empty(len(ktups), np.int64)
-            for i, t in enumerate(ktups):
-                code = index.get(t)
-                if code is None:
-                    code = len(index)
-                    index[t] = code
-                    rows.append(t)
-                gcodes[i] = code
+            slots = _key_codes(pdf, keycols, index, rows)
             vals = pdf[valcols].to_numpy(np.float64, na_value=np.nan)
             # SQL SUM ignores NULLs; for summation NULL->0 is equivalent.
             # Documented deviation: an all-NULL group yields 0.0, not NULL.
             nan = np.isnan(vals)
             if nan.any():
                 vals = np.where(nan, 0.0, vals)
-            acc.update(gcodes[codes_local], vals, fast=buffered)
+            try:
+                acc.update(slots, vals, fast=buffered)
+            except ValueError:
+                bad = ~np.isfinite(vals)
+                if not bad.any():
+                    raise
+                j = int(np.flatnonzero(bad.any(axis=0))[0])
+                raise ValueError(
+                    f"rsum_groupby: value column {valcols[j]!r} holds "
+                    f"{vals[bad[:, j], j][0]}; reproducible SUM is defined "
+                    f"for finite inputs only"
+                ) from None
         if not rows:
             return
         out = {}
@@ -124,26 +147,108 @@ def rsum_groupby(
         for j, vc in enumerate(valcols):
             _, e, dev, C = acc.export_states(j)
             out[f"{vc}__e"] = e
-            out[f"{vc}__dev"] = list(dev)
-            out[f"{vc}__C"] = list(C)
+            for lev in range(L):
+                out[f"{vc}__d{lev}"] = dev[:, lev]
+            for lev in range(L):
+                out[f"{vc}__c{lev}"] = C[:, lev]
         yield pd.DataFrame(out)
 
-    def merge(pdf: pd.DataFrame) -> pd.DataFrame:
-        """Associative merge of one group's partial states + finalisation."""
-        res = {kc: [pdf[kc].iloc[0]] for kc in keycols}
-        for vc in valcols:
-            macc = GroupedBinnedAcc(L=L, dtype=npdtype, dense_n_groups=1)
-            macc.merge_state_rows(
-                np.zeros(len(pdf), np.int64),
-                pdf[f"{vc}__e"].to_numpy(np.int64),
-                np.array(pdf[f"{vc}__dev"].tolist(), np.int64),
-                np.array(pdf[f"{vc}__C"].tolist(), np.int64),
-            )
-            res[f"{vc}_rsum"] = np.asarray([macc.finalize()[0, 0]], npdtype)
-        return pd.DataFrame(res)
-
     partials = df.select(*keycols, *valcols).mapInPandas(partial, state_schema)
-    return partials.groupBy(*keycols).applyInPandas(merge, out_schema)
+    return _merge_states(partials, keycols, valcols, L=L, fmt=fmt)
+
+
+def _q(name: str) -> str:
+    """``name`` as a quoted SQL identifier."""
+    return "`" + name.replace("`", "``") + "`"
+
+
+def _merge_states(states: DataFrame, keycols: list[str], valcols: list[str], *,
+                  L: int, fmt: FloatFormat) -> DataFrame:
+    """Merge and finalize partial states per group in Spark SQL alone.
+
+    ``states`` holds the key columns and, per value column, the flat
+    state of :func:`_state_fields`: any number of canonical rows
+    (``0 <= dev < 2**(m-2)``) per group, in any order. This is
+    ``GroupedBinnedAcc.merge_state_rows`` followed by ``finalize``, as
+    JVM expressions:
+
+    * align — every live row is shifted ``s = (e_max - e) / W`` levels to
+      its group's largest window ``e_max``; rows with ``s >= L`` and
+      ``EMPTY_E`` rows contribute nothing;
+    * sum — per level, carries as plain longs and deviations as two
+      halves of ``(m-2)//2`` and fewer bits, so no sum can overflow
+      (each half sum has 2**38 rows of headroom for double) whether
+      or not ANSI overflow checks are on;
+    * renorm — the halves recombine into ``dev in [0, 2**(m-2))`` and a
+      carry added to ``C``, in exact integer steps;
+    * finalize — ``Q = Q + (C*2**(e_l-2) + dev*2**(e_l-m))`` from the
+      lowest level up, in the format's own arithmetic, as
+      ``finalize_state`` does. ``pow(2.0, int)`` is exact for
+      representable powers of two, so each product is rounded once.
+
+    Returns the key columns plus ``<v>_rsum`` per value column; a group
+    whose rows are all ``EMPTY_E`` sums to 0.
+    """
+    W, m = fmt.W, fmt.m
+    lo_bits = (m - 2) // 2            # dev = hi * 2**lo_bits + lo
+    hi_bits = (m - 2) - lo_bits
+    dev_mask = (1 << (m - 2)) - 1
+    ftype = "FLOAT" if fmt.dtype == np.float32 else "DOUBLE"
+    keys = [_q(k) for k in keycols]
+
+    def c(vc: str, part: str, lev="") -> str:
+        return _q(f"{vc}__{part}{lev}")
+
+    # EMPTY_E rows become NULL, so they drop out of max() and every shift
+    live = states.withColumns({
+        f"{vc}__e": F.expr(f"nullif({c(vc, 'e')}, {EMPTY_E}L)") for vc in valcols
+    }).withColumns({
+        f"{vc}__s": F.expr(f"(max({c(vc, 'e')}) OVER (PARTITION BY {', '.join(keys)})"
+                           f" - {c(vc, 'e')}) DIV {W}")
+        for vc in valcols
+    })
+
+    def aligned(vc: str, part: str, lev: int) -> str:
+        """A row's share of level ``lev`` once shifted down ``s`` levels:
+        its own level ``lev - s`` (as hi/lo deviation half or carry)."""
+        x = {"h": lambda t: f"shiftright({c(vc, 'd', t)}, {lo_bits})",
+             "l": lambda t: f"{c(vc, 'd', t)} & {(1 << lo_bits) - 1}",
+             "c": lambda t: c(vc, "c", t)}[part]
+        whens = " ".join(f"WHEN {s} THEN {x(lev - s)}" for s in range(lev + 1))
+        return f"CASE {c(vc, 's')} {whens} ELSE 0 END AS {c(vc, part, lev)}"
+
+    cols, aggs = list(keys), []
+    for vc in valcols:
+        cols.append(c(vc, "e"))
+        aggs.append(F.expr(f"max({c(vc, 'e')}) AS {c(vc, 'e')}"))
+        for lev in range(L):
+            for part in "hlc":
+                cols.append(aligned(vc, part, lev))
+                aggs.append(F.expr(f"sum({c(vc, part, lev)}) AS {c(vc, part, lev)}"))
+    merged = live.selectExpr(*cols).groupBy(*keycols).agg(*aggs)
+
+    def scaled(n: str, k: str) -> str:
+        """``n * 2**k`` rounded once to the output format."""
+        if ftype == "FLOAT":
+            return f"CAST({n} AS FLOAT) * CAST(pow(2.0D, {k}) AS FLOAT)"
+        return f"CAST({n} AS DOUBLE) * pow(2.0D, {k})"
+
+    results = []
+    for vc in valcols:
+        Q = f"CAST(0.0D AS {ftype})"
+        for lev in reversed(range(L)):
+            H, Lo = c(vc, "h", lev), c(vc, "l", lev)
+            # D = H * 2**lo_bits + Lo, split into carry * 2**(m-2) + dev
+            low = (f"(shiftleft({H} & {(1 << hi_bits) - 1}, {lo_bits})"
+                   f" + ({Lo} & {dev_mask}))")
+            carry = (f"shiftright({H}, {hi_bits}) + shiftright({Lo}, {m - 2})"
+                     f" + shiftright({low}, {m - 2})")
+            C = f"{c(vc, 'c', lev)} + {carry}"
+            dev = f"{low} & {dev_mask}"
+            e_l = f"{c(vc, 'e')} - {lev * W}"
+            Q = f"({Q} + ({scaled(C, e_l + ' - 2')} + {scaled(dev, e_l + f' - {m}')}))"
+        results.append(f"coalesce({Q}, CAST(0.0D AS {ftype})) AS {_q(vc + '_rsum')}")
+    return merged.selectExpr(*keys, *results)
 
 
 def pandas_sum_groupby(df: DataFrame, keys, values) -> DataFrame:
@@ -173,27 +278,11 @@ def pandas_sum_groupby(df: DataFrame, keys, values) -> DataFrame:
         for pdf in batches:
             if len(pdf) == 0:
                 continue
-            codes_local = pdf.groupby(
-                keycols, sort=False, dropna=False
-            ).ngroup().to_numpy()
-            first = np.unique(codes_local, return_index=True)[1]
-            ktups = [
-                tuple(r)
-                for r in pdf.iloc[first][keycols].itertuples(index=False, name=None)
-            ]
-            gcodes = np.empty(len(ktups), np.int64)
-            for i, kt in enumerate(ktups):
-                code = index.get(kt)
-                if code is None:
-                    code = len(index)
-                    index[kt] = code
-                    rows.append(kt)
-                gcodes[i] = code
+            slots = _key_codes(pdf, keycols, index, rows)
             if len(index) > table.shape[0]:
                 table = np.vstack(
                     [table, np.zeros((len(index) - table.shape[0], len(valcols)))]
                 )
-            slots = gcodes[codes_local]
             vals = pdf[valcols].to_numpy(np.float64, na_value=0.0)
             for jcol in range(len(valcols)):
                 np.add.at(table[:, jcol], slots, vals[:, jcol])

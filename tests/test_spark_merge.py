@@ -1,0 +1,197 @@
+"""The SQL merge of ``rsum_groupby``: exactness, float32, plan shape and
+three-way agreement with the local accumulator and Algorithm 2."""
+import math
+import re
+
+import numpy as np
+import pandas as pd
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import EMPTY_E, GroupedBinnedAcc, RsumScalar, fmt_for
+from repro.spark import rsum_groupby
+from repro.spark.repro_sum import _merge_states, _state_fields
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.int64) if a.dtype == np.float64 else a.view(np.int32)
+
+
+def _sorted_sums(out, dtype) -> np.ndarray:
+    return out.toPandas().sort_values("k")["v_rsum"].to_numpy().astype(dtype)
+
+
+def _min_magnitude(fmt, L: int) -> int:
+    """log2 of the smallest |value| whose window passes ``check_window``."""
+    return fmt.e_bot_min + (L - 1) * fmt.W - fmt.m - 1
+
+
+def _max_binade(fmt) -> int:
+    """The highest binade ``[2**x, 2**(x+1))`` whose window passes."""
+    return fmt.e_top_max // fmt.W * fmt.W - fmt.m + fmt.W - 2
+
+
+# ------------------------------------------------------- merge exactness
+def _synthetic_states(fmt, L: int, n: int, seed: int):
+    """Canonical state rows with worst-case deviations ``2**(m-2) - 1``,
+    windows up to three levels apart, EMPTY_E rows, and mixed-sign carries.
+    Group 0 receives ``n`` rows; groups 1 and 2 a few each."""
+    rng = np.random.default_rng(seed)
+    e0 = fmt.e_bot_min + (L + 2) * fmt.W
+    keys = np.concatenate([np.zeros(n, np.int64), np.repeat([1, 2], 8)])
+    k = keys.size
+    e = e0 - fmt.W * rng.integers(0, 4, k)
+    e[rng.random(k) < 0.1] = EMPTY_E
+    e[keys == 2] = EMPTY_E  # a group with no live row
+    dev = np.full((k, L), (1 << (fmt.m - 2)) - 1, np.int64)
+    C = rng.integers(-(1 << 20), 1 << 20, (k, L))
+    dev[e == EMPTY_E] = 0
+    C[e == EMPTY_E] = 0
+    return keys, e, dev, C
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("ansi", ["true", "false"])
+def test_sql_merge_exact_beyond_long_headroom(spark, dtype, ansi):
+    """20 000 rows of ``dev = 2**(m-2) - 1`` for one group: a plain sum
+    of double deviations needs 2**64.3 and would overflow a long (raise
+    under ANSI, wrap without). The SQL merge stays bit-equal to
+    ``merge_state_rows`` + ``finalize`` in either mode."""
+    fmt, L = fmt_for(dtype), 3
+    keys, e, dev, C = _synthetic_states(fmt, L, 20_000, seed=5)
+    cols = {"k": keys, "v__e": e}
+    cols.update({f"v__d{lev}": dev[:, lev] for lev in range(L)})
+    cols.update({f"v__c{lev}": C[:, lev] for lev in range(L)})
+    assert [f.name for f in _state_fields("v", L)] == list(cols)[1:]
+    states = spark.createDataFrame(pd.DataFrame(cols)).repartition(5)
+
+    ref = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=3)
+    step = 1 << 11  # merge_state_rows renormalises at most every 2**12 rows
+    for i in range(0, keys.size, step):
+        s = slice(i, i + step)
+        ref.merge_state_rows(keys[s], e[s], dev[s], C[s])
+    want = ref.finalize()[:, 0]
+
+    old = spark.conf.get("spark.sql.ansi.enabled")
+    spark.conf.set("spark.sql.ansi.enabled", ansi)
+    try:
+        got = _sorted_sums(_merge_states(states, ["k"], ["v"], L=L, fmt=fmt), dtype)
+    finally:
+        spark.conf.set("spark.sql.ansi.enabled", old)
+    assert want[2] == 0.0
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+# --------------------------------------------------------------- float32
+def _guard_rail_values(rng, fmt, L: int, n: int) -> np.ndarray:
+    """Mixed-sign ``dtype`` values from the smallest admissible magnitude
+    up by ~2.5 levels, a few at the top of the range, and some zeros."""
+    lo = _min_magnitude(fmt, L)
+    ex = rng.integers(lo, lo + 5 * fmt.W // 2, n)
+    big = rng.random(n) < 0.005
+    ex[big] = _max_binade(fmt) - rng.integers(0, fmt.W, big.sum())
+    v = np.ldexp(rng.uniform(1, 2, n), ex) * rng.choice([-1.0, 1.0], n)
+    v[rng.random(n) < 0.05] = 0.0
+    return v.astype(fmt.dtype)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_float32_matches_grouped_acc_at_guard_rails(spark, L):
+    """The float32 finalize in SQL (float casts, float products, float
+    adds) is bit-equal to ``GroupedBinnedAcc(dtype=float32)``, down to
+    window tops at ``-126 + (L-1)*18`` where the lowest level's grid is
+    the smallest subnormal."""
+    fmt = fmt_for(np.float32)
+    rng = np.random.default_rng(L)
+    n, G = 20_000, 40
+    keys = rng.integers(0, G, n)
+    vals = _guard_rail_values(rng, fmt, L, n)
+    vals[keys < 4] = np.ldexp(  # groups whose windows all sit at the rail
+        rng.uniform(1, 2, (keys < 4).sum()), _min_magnitude(fmt, L)
+    ).astype(np.float32)
+    acc = GroupedBinnedAcc(L=L, dtype=np.float32, dense_n_groups=G)
+    want = acc.update(keys, vals, fast=False).finalize()[:, 0]
+    assert int(acc.e_top.min()) == fmt.e_bot_min + (L - 1) * fmt.W
+    df = spark.createDataFrame(pd.DataFrame({"k": keys, "v": vals.astype(np.float64)}))
+    for parts in (1, 9):
+        out = rsum_groupby(df.repartition(parts), "k", "v", L=L, dtype="float32")
+        assert dict(out.dtypes)["v_rsum"] == "float"
+        assert np.array_equal(_bits(_sorted_sums(out, np.float32)), _bits(want))
+
+
+# ------------------------------------------------------------ plan shape
+_PY_OPERATOR = re.compile(r"Pandas|Python|Arrow")
+
+
+def test_plan_has_one_python_operator(spark):
+    """The executed plan runs Python once, in the ``MapInPandas``
+    partial; merge and finalize are JVM operators. A per-group Python
+    merge (``FlatMapGroupsInPandas``) fails this test."""
+    df = spark.createDataFrame(
+        pd.DataFrame({"k": np.arange(200) % 7, "a": np.arange(200.0),
+                      "b": np.ones(200)}))
+    out = rsum_groupby(df, "k", ["a", "b"], L=2)
+    out.collect()
+    plan = out._jdf.queryExecution().executedPlan().toString()
+    if "== Final Plan ==" in plan:  # adaptive execution: keep the final plan
+        plan = plan.split("== Final Plan ==")[1].split("== Initial Plan ==")[0]
+    ops = [m.group(1) for m in re.finditer(r"^[\s+\-:*()\d]*([A-Za-z]\w*)",
+                                           plan, re.M)]
+    assert "HashAggregate" in ops
+    assert [op for op in ops if _PY_OPERATOR.search(op)] == ["MapInPandas"]
+    assert "FlatMapGroupsInPandas" not in plan
+
+
+# ------------------------------------------------- three-way property test
+def _value(L: int, fmt):
+    """A value near the lower guard rail (``1 + 3*W`` binades above the
+    smallest admissible magnitude, so windows of one group differ by up
+    to three levels), either sign, or zero."""
+    lo = _min_magnitude(fmt, L)
+    nonzero = st.builds(
+        lambda mant, ex, neg: (-1.0 if neg else 1.0) * math.ldexp(mant, ex - fmt.m),
+        st.integers(1 << fmt.m, (1 << (fmt.m + 1)) - 1),
+        st.integers(lo, lo + 3 * fmt.W),
+        st.booleans(),
+    )
+    return st.one_of(st.just(0.0), nonzero)
+
+
+@st.composite
+def _groups(draw):
+    L = draw(st.sampled_from([2, 3, 4]))
+    fmt = fmt_for(np.float64)
+    n_groups = draw(st.integers(1, 12))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n_groups - 1), _value(L, fmt)),
+        min_size=1, max_size=400,
+    ))
+    if draw(st.booleans()):  # an all-zero group
+        rows += [(n_groups, 0.0)] * draw(st.integers(1, 5))
+    return L, rows
+
+
+@pytest.mark.parametrize("parts", [1, 37, 200])
+@settings(max_examples=4, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=_groups())
+def test_rsum_groupby_grouped_acc_and_scalar_agree(spark, parts, case):
+    """``rsum_groupby`` at 1, 37 and 200 partitions, ``GroupedBinnedAcc``
+    and, on up to three groups, Algorithm 2 agree bit for bit. With many
+    partitions most of a group's partials see only its zeros, so its
+    live state rows meet ``EMPTY_E`` rows in the merge."""
+    L, rows = case
+    keys = np.array([k for k, _ in rows], np.int64)
+    vals = np.array([v for _, v in rows], np.float64)
+    uniq, codes = np.unique(keys, return_inverse=True)
+    want = (GroupedBinnedAcc(L=L, dense_n_groups=uniq.size)
+            .update(codes, vals, fast=False).finalize()[:, 0])
+    for g in range(min(3, uniq.size)):
+        scalar = RsumScalar(L=L).add_many(vals[codes == g]).finalize()
+        assert _bits(np.array([scalar])) == _bits(want[g:g + 1])
+    df = spark.createDataFrame(pd.DataFrame({"k": keys, "v": vals}))
+    out = rsum_groupby(df.repartition(parts), "k", "v", L=L)
+    got = out.toPandas().sort_values("k")
+    assert np.array_equal(got["k"].to_numpy(), uniq)
+    assert np.array_equal(_bits(got["v_rsum"].to_numpy()), _bits(want))

@@ -157,6 +157,12 @@ class TestSemantics:
         with pytest.raises(Exception, match="finite"):
             rsum_groupby(df, "k", "v", L=2).collect()
 
+    def test_infinity_error_names_column(self, spark):
+        pdf = pd.DataFrame({"k": [0, 1], "a": [1.0, 2.0], "b": [3.0, -np.inf]})
+        df = spark.createDataFrame(pdf)
+        with pytest.raises(Exception, match=r"column 'b' holds -inf; .* finite"):
+            rsum_groupby(df, "k", ["a", "b"], L=2).collect()
+
 
 class TestNonReproDemo:
     """The paper's Algorithm 1: same rows, different physical order,
