@@ -162,10 +162,9 @@ class BufferedReproAcc(ReproAcc):
 
     Performance realisation in this substrate: the processing batch
     plays the role of the per-group summation buffer and values flow
-    through the vectorized batch-summation kernel with exact
-    float-staged per-level partial sums (``GroupedBinnedAcc``'s fast
-    path), chunked by ``bsz`` — the same role Eq. 4's buffer size plays
-    (amortise per-call costs vs working-set size). The literal
+    through the compiled deposit loop (``GroupedBinnedAcc``'s fast
+    path), one call per chunk of ``bsz`` rows — the same role Eq. 4's
+    buffer size plays (amortise per-call costs vs working-set size). The literal
     array-per-group layout of Figure 5 is implemented and tested in
     :class:`repro.core.buffers.BufferedGroupedAcc`; both produce
     identical bits, but a NumPy substrate has no O(n) scatter-append, so
@@ -177,14 +176,13 @@ class BufferedReproAcc(ReproAcc):
     def __init__(self, n_groups: int, dtype=np.float64, L: int = 2,
                  bsz: int | None = None):
         self.acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=n_groups)
-        # bsz bounds the vectorized deposit chunk: larger buffers amortise
-        # per-call overhead better (Figure 8's left slope); None/large ->
-        # whole-batch deposits.
-        self.acc.FAST_CHUNK = max(16, int(bsz)) if bsz else None
+        # bsz bounds the deposit chunk: larger buffers amortise per-call
+        # overhead better (Figure 8's left slope); None -> whole batches.
+        self.chunk = max(16, int(bsz)) if bsz else None
 
     def update(self, idx: np.ndarray, vals: np.ndarray) -> None:
         self.acc.update_slots(
-            idx, np.asarray(vals, self.acc.fmt.dtype), fast=True
+            idx, np.asarray(vals, self.acc.fmt.dtype), fast=True, chunk=self.chunk
         )
 
 

@@ -11,9 +11,9 @@
    the shared table holds plain (unbuffered) ``repro<ScalarT,L>``
    states merged with ``operator+=(repro)`` — Algorithm 4 lines 4–6.
 
-The partitioning substrate is NumPy's stable counting/argsort — the
-single-pass software-managed radix partition of [9, 31, 33] rebuilt on
-array primitives (see DESIGN.md §5).
+The partitioning substrate is a compiled stable counting sort
+(``core/_kernels.c``) — the single-pass software-managed radix partition
+of [9, 31, 33] (see DESIGN.md §5).
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from ..core import _kernels
 from .accumulators import make_acc
 from .hash_agg import hash_aggregate
 from .tuning import FANOUT, choose_depth
@@ -36,15 +37,9 @@ def parallel_partition(keys: np.ndarray, values: np.ndarray, F: int):
     partition (stable within a partition, like the paper's partitioning
     routine which concatenates per-thread sub-partitions).
     """
-    if F & (F - 1):
+    if F < 1 or F & (F - 1):
         raise ValueError("fan-out must be a power of two")
-    pid = keys & (F - 1)
-    # narrow radix digits sort several times faster than int64
-    pid_narrow = pid.astype(np.uint8 if F <= 256 else np.uint16, copy=False)
-    order = np.argsort(pid_narrow, kind="stable")
-    counts = np.bincount(pid, minlength=F)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    return keys[order], values[order], bounds
+    return _kernels.partition(keys, values, F)
 
 
 def partition_and_aggregate(

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _kernels
 from .params import EMPTY_E, FloatFormat, fmt_for
 
 __all__ = [
@@ -102,6 +103,20 @@ def finalize_state(fmt: FloatFormat, L: int, e_top, dev, C):
         )
         Q = Q + term
     return np.where(live, Q, fmt.dtype.type(0)).astype(fmt.dtype, copy=False)
+
+
+#: rows deposited between two renormalisations, at most (see _note_adds)
+_RENORM_EVERY = 1 << 22
+
+
+def _rank_within(slots: np.ndarray) -> np.ndarray:
+    """Each row's rank among the rows of the same slot, in row order."""
+    order = np.argsort(slots, kind="stable")
+    s = slots[order]
+    start = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    rank = np.empty(s.size, np.int64)
+    rank[order] = np.arange(s.size) - np.repeat(start, np.diff(np.r_[start, s.size]))
+    return rank
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -210,25 +225,22 @@ class GroupedBinnedAcc:
     """Many reproducible accumulators keyed by group — the GROUPBY state.
 
     One instance holds, for every group and every value column, a binned
-    summation state. Two deposit paths exist:
+    summation state. Deposit paths:
 
-    * :meth:`update` / :meth:`update_slots` — the *unbuffered* path: one
-      gather + L extractions + L scatter-adds **per element**, mirroring
-      the cost profile of using ``repro<ScalarT,L>`` as a drop-in
-      aggregate type (paper Section IV / Figure 4);
-    * :meth:`deposit_rows` — the *buffered* path used by the summation
-      buffers of Section V: whole per-group buffers are flushed through
-      the contiguous vectorized kernel.
+    * :meth:`update` / :meth:`update_slots` with ``fast=True`` — the
+      compiled deposit loop of ``_kernels.c``, one call per chunk;
+    * ``fast=False`` — the *unbuffered* NumPy path: one gather + L
+      extractions + L scatter-adds **per element**, mirroring the cost
+      profile of using ``repro<ScalarT,L>`` as a drop-in aggregate type
+      (paper Section IV / Figure 4);
+    * :meth:`deposit_rows` — the flush of the explicit summation buffers
+      of Section V (``core/buffers.py``): whole per-group buffers go
+      through ``deposit_units``.
 
     Keys are either dense ints in ``[0, dense_n_groups)`` (the paper's
     IDENTITYHASHING setup; no lookup cost) or arbitrary hashables mapped
     through an internal index.
     """
-
-    #: optional deposit sub-chunk for the fast path (None = whole batch).
-    #: Smaller chunks model smaller summation buffers: the same exact
-    #: result with more per-call overhead (Figure 8's left slope).
-    FAST_CHUNK: int | None = None
 
     def __init__(self, *, L: int = 2, dtype=np.float64, ncols: int = 1,
                  dense_n_groups: int | None = None):
@@ -245,13 +257,6 @@ class GroupedBinnedAcc:
         self.dev = np.zeros((ncols, L, n0), np.int64)
         self.C = np.zeros((ncols, L, n0), np.int64)
         self._since_renorm = 0
-        # cached window summary per column: the min deposit threshold of
-        # live slots (inf if none) and the uniform live exponent (None if
-        # mixed). Lets steady-state batches skip the O(n+G) window scan.
-        # Recomputed lazily (the scan is O(n_slots)) when marked dirty.
-        self._live_thr = [float("inf")] * ncols
-        self._uni_e: list[int | None] = [None] * ncols
-        self._win_dirty = [False] * ncols
 
     # ---------------------------------------------------------------- slots
     @property
@@ -296,19 +301,6 @@ class GroupedBinnedAcc:
         return lut[inv]
 
     # -------------------------------------------------------------- windows
-    def _refresh_window_cache(self, j: int) -> None:
-        self._win_dirty[j] = False
-        e = self.e_top[j]
-        live = e[e != EMPTY_E]
-        if live.size == 0:
-            self._live_thr[j] = float("inf")
-            self._uni_e[j] = None
-            return
-        emin = int(live.min())
-        emax = int(live.max())
-        self._live_thr[j] = 2.0 ** (emin - self.fmt.m + self.fmt.W - 1)
-        self._uni_e[j] = emin if emin == emax else None
-
     def _raise_windows(self, j: int, idx: np.ndarray, req: np.ndarray) -> None:
         """Raise windows of slots ``idx`` (column j) to at least ``req``.
 
@@ -336,7 +328,6 @@ class GroupedBinnedAcc:
                     self.C[j][:sv, sel] = 0
             self.e_top[j, ii] = livereq[need]
         self.fmt.check_window(self.e_top[j, idx], self.L)
-        self._refresh_window_cache(j)
 
     def _prepare_windows(self, j: int, slots: np.ndarray, absvals: np.ndarray):
         """Per-batch extractor-validity check (Algorithm 3 line 4)."""
@@ -350,17 +341,22 @@ class GroupedBinnedAcc:
         return np.where(e == EMPTY_E, 0, e)
 
     # ------------------------------------------------------------- deposits
-    def update(self, keys, values, *, fast: bool = True) -> "GroupedBinnedAcc":
+    def update(self, keys, values, *, fast: bool = True,
+               chunk: int | None = None) -> "GroupedBinnedAcc":
         """Deposit a batch of <key, value(s)> pairs.
 
-        ``fast=True`` (default) is the *vectorized batch summation* path
-        — the performance realisation of the paper's summation buffers
-        in this substrate: the processing batch plays the buffer's role
-        and per-level exact partial sums are staged in floats before
-        being drained into the canonical int64 state. ``fast=False`` is
-        the per-element cost model of the drop-in ``repro<ScalarT,L>``
-        type of Section IV (one gather + L generic extractions + L
-        scatter-adds per element). Both produce identical bits (tested).
+        ``fast=True`` (default) is the *batch summation* path — the
+        performance realisation of the paper's summation buffers in this
+        substrate: the batch plays the buffer's role and each chunk of at
+        most ``chunk`` rows (None: the whole batch) is one call of the
+        compiled deposit loop, which raises the chunk's windows and then
+        deposits every value's L levels. Smaller chunks model smaller
+        buffers: the same bits with more per-call overhead (Figure 8's
+        left slope). ``fast=False`` is the per-element NumPy cost model of
+        the drop-in ``repro<ScalarT,L>`` type of Section IV (one gather +
+        L generic extractions + L scatter-adds per element). Both produce
+        identical bits (tested). A batch holding NaN/Inf raises before
+        any state changes.
         """
         vals = np.asarray(values)
         if vals.ndim == 1:
@@ -368,87 +364,34 @@ class GroupedBinnedAcc:
         if vals.shape[1] != self.ncols:
             raise ValueError(f"expected {self.ncols} value columns")
         slots = self.slots_for(keys)
-        self.update_slots(slots, vals, fast=fast)
+        self.update_slots(slots, vals, fast=fast, chunk=chunk)
         return self
 
     def update_slots(self, slots: np.ndarray, vals: np.ndarray, *,
-                     fast: bool = True) -> None:
+                     fast: bool = True, chunk: int | None = None) -> None:
+        vals = np.asarray(vals)
         if vals.ndim == 1:
             vals = vals[:, None]
-        for j in range(self.ncols):
-            v = np.ascontiguousarray(vals[:, j], dtype=self.fmt.dtype)
-            if fast:
-                # finiteness is checked on max|v| inside the fast path
-                # (NaN/Inf propagate through np.max of np.abs)
-                self._deposit_fast(j, slots, v)
-            else:
-                _check_finite(v)
-                e = self._prepare_windows(j, slots, np.abs(v))
-                units = deposit_units(self.fmt, self.L, v, e)
+        # columns contiguous, as the kernel takes them
+        vals = np.asfortranarray(vals, dtype=self.fmt.dtype)
+        _check_finite(vals)
+        n = vals.shape[0]
+        if not fast:
+            for j in range(self.ncols):
+                e = self._prepare_windows(j, slots, np.abs(vals[:, j]))
+                units = deposit_units(self.fmt, self.L, vals[:, j], e)
                 for lev in range(self.L):
                     np.add.at(self.dev[j, lev], slots, units[lev])
-        self._note_adds(vals.shape[0])
-
-    # ----------------------------------------------------- fast deposit path
-    def _deposit_fast(self, j: int, slots: np.ndarray, v: np.ndarray) -> None:
-        """Vectorized batch deposit: the summation-buffer flush kernel.
-
-        One pass of error-free extractions per level over the whole
-        batch (scalar extractor when all live windows coincide — the
-        steady state for same-magnitude data), unit conversion by an
-        exact power-of-two scale, and one int64 scatter-add per level.
-        Exactness needs no staging bounds: units are integers.
-        """
-        amax = float(np.max(np.abs(v))) if v.size else 0.0
-        if amax == 0.0:
-            # zero contributions; keys were materialised by slots_for.
+            self._note_adds(n)
             return
-        if not np.isfinite(amax):
-            raise ValueError(
-                "reproducible summation is defined for finite inputs only "
-                "(got NaN/Inf)"
-            )
-        if self._win_dirty[j]:
-            self._refresh_window_cache(j)
-        e_arg: int | np.ndarray
-        if amax < self._live_thr[j] and self._uni_e[j] is not None:
-            # steady state: one shared live window absorbs the batch;
-            # only never-seen (EMPTY) slots need initialisation.
-            e_gather = self.e_top[j, slots]
-            empt = e_gather == EMPTY_E
-            if empt.any():
-                sub = np.flatnonzero(empt)
-                self._prepare_windows(j, slots[sub], np.abs(v[sub]))
-            e_arg = self._uni_e[j] if self._uni_e[j] is not None \
-                else self.e_top[j, slots]
-        else:
-            self._prepare_windows(j, slots, np.abs(v))
-            ue = self._uni_e[j]
-            e_arg = ue if ue is not None else self.e_top[j, slots]
-        uniform = np.isscalar(e_arg) or np.ndim(e_arg) == 0
-        CH = self.FAST_CHUNK or v.size
-        W, m = self.fmt.W, self.fmt.m
-        t = self.fmt.dtype.type
-        for i in range(0, v.size, CH):
-            sl = slots[i:i + CH]
-            vv = v[i:i + CH]
-            if uniform:
-                M = np.ldexp(t(1.5), np.int32(e_arg))
-            else:
-                ee = e_arg[i:i + CH].astype(np.int32)
-                M = np.ldexp(t(1.5), ee)
-            r = vv
-            for lev in range(self.L):
-                q = r + M
-                q -= M  # error-free extraction, in fmt.dtype
-                if uniform:
-                    u = np.ldexp(q, np.int32(m - int(e_arg) + lev * W))
-                else:
-                    u = np.ldexp(q, (m + lev * W) - ee)
-                np.add.at(self.dev[j, lev], sl, u.astype(np.int64))
-                if lev + 1 < self.L:
-                    r = r - q
-                    M = np.ldexp(M, np.int32(-W))
+        slots = np.ascontiguousarray(slots, np.int64)
+        # one kernel call never exceeds the lazy-renorm budget
+        step = max(1, min(chunk or n, _RENORM_EVERY))
+        for i in range(0, n, step):
+            for j in range(self.ncols):
+                _kernels.deposit(self.fmt, self.L, self.e_top[j], self.dev[j],
+                                 self.C[j], slots[i:i + step], vals[i:i + step, j])
+            self._note_adds(min(step, n - i))
 
     def deposit_rows(self, j: int, row_slots: np.ndarray, rows: np.ndarray) -> None:
         """Buffered flush: ``rows[i]`` is the (zero-padded) buffer of
@@ -477,7 +420,7 @@ class GroupedBinnedAcc:
         # int64 deviations hold >= 2**22 worst-case contributions between
         # renormalisations (2**22 * 2**(W-1) < 2**62 for double).
         self._since_renorm += n
-        if self._since_renorm > (1 << 22):
+        if self._since_renorm > _RENORM_EVERY:
             self.renorm_all()
 
     def renorm_all(self) -> None:
@@ -511,17 +454,22 @@ class GroupedBinnedAcc:
         idx = np.flatnonzero(tgt != EMPTY_E)
         self._raise_windows(j, idx, tgt[idx])
         s = (self.e_top[j, slots] - e_tops) // self.fmt.W
-        for sv in np.unique(s):
-            sel = np.flatnonzero(s == sv)
-            if sv >= self.L:
-                continue
-            for lev in range(self.L - sv):
-                np.add.at(self.dev[j, lev + sv], slots[sel], devs[sel, lev])
-                np.add.at(self.C[j, lev + sv], slots[sel], Cs[sel, lev])
         # canonical incoming rows carry < 2**(m-2) units each — 2**11 times
         # a single deposit's bound — so weight them accordingly against the
-        # lazy-renorm budget; headroom stays within int64 (tested).
-        self._note_adds(slots.size << 11)
+        # lazy-renorm budget, adding at most 2**11 rows per slot between
+        # two checks of it: no int64 sum can wrap, however many rows one
+        # slot receives in one call (tested).
+        rnd = _rank_within(slots) >> 11
+        for r in range(int(rnd.max()) + 1):
+            part = rnd == r
+            for sv in np.unique(s[part]):
+                if sv >= self.L:
+                    continue
+                sel = np.flatnonzero(part & (s == sv))
+                for lev in range(self.L - sv):
+                    np.add.at(self.dev[j, lev + sv], slots[sel], devs[sel, lev])
+                    np.add.at(self.C[j, lev + sv], slots[sel], Cs[sel, lev])
+            self._note_adds(int(part.sum()) << 11)
 
     def adopt_strided(self, other: "GroupedBinnedAcc", base: int,
                       stride: int) -> None:
@@ -542,7 +490,6 @@ class GroupedBinnedAcc:
         self.e_top[:, sl] = other.e_top[:, :n]
         self.dev[:, :, sl] = other.dev[:, :, :n]
         self.C[:, :, sl] = other.C[:, :, :n]
-        self._win_dirty = [True] * self.ncols  # lazy: O(n_slots) scan
 
     def merge(self, other: "GroupedBinnedAcc") -> "GroupedBinnedAcc":
         if other.fmt is not self.fmt or other.L != self.L or other.ncols != self.ncols:

@@ -107,13 +107,13 @@ def rsum_groupby(
         state_fields += _state_fields(vc, L)
     state_schema = T.StructType(state_fields)
 
+    # Arrow batches play the summation-buffer role; bsz bounds the
+    # deposit chunk (GroupedBinnedAcc.update's ``chunk``).
+    chunk = max(16, int(bsz)) if bsz else None
+
     def partial(batches):
         """Per-partition partial aggregation with vectorized deposits."""
         acc = GroupedBinnedAcc(L=L, dtype=npdtype, ncols=ncols)
-        if buffered:
-            # Arrow batches play the summation-buffer role; bsz bounds the
-            # vectorized deposit chunk (see binned.py FAST_CHUNK).
-            acc.FAST_CHUNK = max(16, int(bsz)) if bsz else None
         index: dict[tuple, int] = {}
         rows: list[tuple] = []
         for pdf in batches:
@@ -122,12 +122,13 @@ def rsum_groupby(
             slots = _key_codes(pdf, keycols, index, rows)
             vals = pdf[valcols].to_numpy(np.float64, na_value=np.nan)
             # SQL SUM ignores NULLs; for summation NULL->0 is equivalent.
+            # A NaN here is a NULL: the JVM rejected real NaNs upstream.
             # Documented deviation: an all-NULL group yields 0.0, not NULL.
             nan = np.isnan(vals)
             if nan.any():
                 vals = np.where(nan, 0.0, vals)
             try:
-                acc.update(slots, vals, fast=buffered)
+                acc.update(slots, vals, fast=buffered, chunk=chunk)
             except ValueError:
                 bad = ~np.isfinite(vals)
                 if not bad.any():
@@ -153,7 +154,15 @@ def rsum_groupby(
                 out[f"{vc}__c{lev}"] = C[:, lev]
         yield pd.DataFrame(out)
 
-    partials = df.select(*keycols, *valcols).mapInPandas(partial, state_schema)
+    # pandas reads NULL and NaN alike, so NaN is rejected here, in the JVM
+    guarded = [
+        F.when(F.isnan(vc), F.raise_error(
+            F.lit(f"rsum_groupby: value column {vc!r} holds NaN; "
+                  f"reproducible SUM is defined for finite inputs only")
+        )).otherwise(F.col(vc)).alias(vc)
+        for vc in valcols
+    ]
+    partials = df.select(*keycols, *guarded).mapInPandas(partial, state_schema)
     return _merge_states(partials, keycols, valcols, L=L, fmt=fmt)
 
 

@@ -1,4 +1,6 @@
 """GroupedBinnedAcc — the GROUPBY state (unbuffered deposit path)."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,22 @@ class TestEdgeCases:
         for _ in range(5):
             acc.update(np.zeros(chunk.size, np.int64), chunk)
         assert acc.finalize()[0, 0] == float(5 << 20)
+
+    def test_merge_many_rows_for_one_slot_in_one_call(self):
+        """20 000 canonical rows of the largest deviation for one slot in
+        one call: their deviations sum to 2**64.3 units, so the merge must
+        renormalise inside the call to stay exact."""
+        n, dev = 20_000, (1 << 50) - 1
+        rows = (np.zeros(n, np.int64), np.zeros(n, np.int64),
+                np.full((n, 1), dev, np.int64), np.zeros((n, 1), np.int64))
+        acc = GroupedBinnedAcc(L=1, dense_n_groups=1)
+        acc.merge_state_rows(*rows)
+        want = float(Fraction(n * dev, 1 << 52))  # window 0: units of 2**-52
+        assert acc.finalize()[0, 0] == want
+        split = GroupedBinnedAcc(L=1, dense_n_groups=1)
+        for i in range(0, n, 1000):
+            split.merge_state_rows(*(x[i:i + 1000] for x in rows))
+        assert np.array_equal(acc.export_states()[2], split.export_states()[2])
 
     def test_export_roundtrip(self):
         keys, vals = np_groupby_input(5000, 8, dist="mixed", seed=8)

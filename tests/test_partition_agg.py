@@ -38,6 +38,22 @@ class TestParallelPartition:
         with pytest.raises(ValueError):
             parallel_partition(np.array([0]), np.array([1.0]), 3)
 
+    @pytest.mark.parametrize("F", [1, 2, 256, 4096])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
+    def test_equals_stable_argsort(self, F, dtype):
+        """The counting sort gives exactly what a stable argsort on the
+        partition id gives, for any value width, row shape and key sign."""
+        rng = np.random.default_rng(F)
+        keys = rng.integers(-(1 << 40), 1 << 40, 20_000)
+        for vals in (rng.standard_normal(20_000).astype(dtype),
+                     rng.standard_normal((20_000, 3)).astype(dtype)):
+            order = np.argsort(keys & (F - 1), kind="stable")
+            counts = np.bincount(keys & (F - 1), minlength=F)
+            pk, pv, bounds = parallel_partition(keys, vals, F)
+            assert np.array_equal(pk, keys[order])
+            assert np.array_equal(pv, vals[order]) and pv.dtype == vals.dtype
+            assert np.array_equal(bounds, np.concatenate([[0], np.cumsum(counts)]))
+
 
 @pytest.mark.parametrize("d", [0, 1, 2])
 @pytest.mark.parametrize("kind,kw", [

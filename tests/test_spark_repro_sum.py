@@ -147,6 +147,17 @@ class TestSemantics:
         # documented deviation: an all-NULL group yields 0.0, not NULL
         assert got["v_rsum"][1] == 0.0
 
+    def test_nan_raises_naming_column(self, spark):
+        """NaN is a value, not a NULL: pandas would read both as NaN and
+        drop them, so the JVM rejects NaN before the Python partial."""
+        df = spark.createDataFrame(
+            [(1, 1.0, 1.0), (1, 2.0, float("nan")), (1, 3.0, None)],
+            "k long, a double, b double",
+        )
+        with pytest.raises(Exception, match=r"column 'b' holds NaN"):
+            rsum_groupby(df, "k", ["a", "b"], L=2).collect()
+        assert rsum_groupby(df.where("k = 0"), "k", ["a", "b"], L=2).count() == 0
+
     def test_empty_input(self, spark):
         df = groupby_pairs(spark, n=10, n_groups=2, seed=12).where(F.lit(False))
         assert rsum_groupby(df, "k", "v", L=2).count() == 0
