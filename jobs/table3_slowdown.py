@@ -2,10 +2,11 @@
 
 Sweeps the number of groups and, for every ``repro<ScalarT,L>``
 (ScalarT ∈ {float, double}, L ∈ 1..4), measures PARTITIONANDAGGREGATE
-*with summation buffers* (depth d and buffer size bsz from the paper's
-tuning models) against the same operator on built-in floats of the same
-width. The geometric mean of the per-n_groups slowdowns is the paper's
-Table III (1.88–2.35 for float, 2.12–2.41 for double).
+*with summation buffers* (each batch is one compiled deposit call;
+depth d from the offline depth thresholds) against the same operator on
+built-in floats of the same width. The geometric mean of the
+per-n_groups slowdowns is the paper's Table III (1.88–2.35 for float,
+2.12–2.41 for double).
 
 Also prints the Section IV spot check (Figure 4's claim): the
 *unbuffered* drop-in repro type at 16 groups is 4–12x slower than

@@ -161,29 +161,17 @@ class BufferedReproAcc(ReproAcc):
     """repro<ScalarT,L> *with* summation buffers (Section V).
 
     Performance realisation in this substrate: the processing batch
-    plays the role of the per-group summation buffer and values flow
-    through the compiled deposit loop (``GroupedBinnedAcc``'s fast
-    path), one call per chunk of ``bsz`` rows — the same role Eq. 4's
-    buffer size plays (amortise per-call costs vs working-set size). The literal
-    array-per-group layout of Figure 5 is implemented and tested in
-    :class:`repro.core.buffers.BufferedGroupedAcc`; both produce
-    identical bits, but a NumPy substrate has no O(n) scatter-append, so
-    the literal layout cannot also be the fast one (see DESIGN.md §5).
+    plays the role of the per-group summation buffer, and each batch is
+    one call of the compiled deposit loop (``GroupedBinnedAcc``'s fast
+    path), which amortises the per-call costs as a full buffer does. The
+    literal array-per-group layout of Figure 5 is not built: the kernel
+    gives the same bits without it (see DESIGN.md §5).
     """
 
     kind = "repro_buffered"
 
-    def __init__(self, n_groups: int, dtype=np.float64, L: int = 2,
-                 bsz: int | None = None):
-        self.acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=n_groups)
-        # bsz bounds the deposit chunk: larger buffers amortise per-call
-        # overhead better (Figure 8's left slope); None -> whole batches.
-        self.chunk = max(16, int(bsz)) if bsz else None
-
     def update(self, idx: np.ndarray, vals: np.ndarray) -> None:
-        self.acc.update_slots(
-            idx, np.asarray(vals, self.acc.fmt.dtype), fast=True, chunk=self.chunk
-        )
+        self.acc.update_slots(idx, np.asarray(vals, self.acc.fmt.dtype))
 
 
 def make_acc(kind: str, n_groups: int, **kw):

@@ -6,7 +6,7 @@
    ``key div F``).
 2. HASHAGGREGATION of each partition into a private table (any
    accumulator backend, in particular repro types with summation
-   buffers sized by Eq. 4).
+   buffers).
 3. Transfer the private tables into one shared table; for repro types
    the shared table holds plain (unbuffered) ``repro<ScalarT,L>``
    states merged with ``operator+=(repro)`` — Algorithm 4 lines 4–6.
@@ -50,16 +50,14 @@ def partition_and_aggregate(
     kind: str = "repro_buffered",
     d: int | None = None,
     f: int = FANOUT,
-    bsz: int | None = None,
     batch: int = 1 << 16,
     **acc_kw,
 ):
     """Algorithm 4 over dense keys in [0, n_groups); returns the shared table.
 
     ``d`` (levels of partitioning) defaults to the offline thresholds of
-    ``tuning.choose_depth``; ``bsz`` (for the buffered repro type)
-    defaults to Eq. 4. The shared table's accumulator backend is the
-    unbuffered variant of ``kind``.
+    ``tuning.choose_depth``. The shared table's accumulator backend is
+    the unbuffered variant of ``kind``.
     """
     keys = np.asarray(keys, np.int64)
     values = np.asarray(values)
@@ -73,23 +71,12 @@ def partition_and_aggregate(
     # the effect Algorithm 4 exists for — is preserved without the
     # dispatch artefact. Results are bit-identical for any F (tested).
     F = min(f**d, 1 << 12)
-    local_kw = dict(acc_kw)
-    if kind == "repro_buffered" and bsz is not None:
-        # Explicit buffer-size override (Figure-8-style sweeps). By
-        # default the vectorized deposit works on whole batches: in this
-        # substrate the deposit chunk has a fixed cache footprint
-        # regardless of the group count, so Eq. 4 — which sizes
-        # *per-group* buffers — governs the explicit-buffer layout
-        # (core/buffers.py, tuning tests), not the chunk.
-        local_kw["bsz"] = bsz
-
     shared_kind = "repro" if kind.startswith("repro") else kind
-    shared_kw = {k: v for k, v in acc_kw.items() if k != "bsz"}
-    shared = make_acc(shared_kind, n_groups, **shared_kw)
+    shared = make_acc(shared_kind, n_groups, **acc_kw)
 
     if F == 1:  # PARALLELPARTITION is a no-op that forwards its input
         acc = hash_aggregate(
-            keys, values, n_groups, kind=kind, batch=batch, **local_kw
+            keys, values, n_groups, kind=kind, batch=batch, **acc_kw
         )
         shared.merge_from(acc, 0, 1)
         return shared
@@ -103,7 +90,7 @@ def partition_and_aggregate(
             continue
         local = hash_aggregate(
             pk[lo:hi] >> shift, pv[lo:hi], n_local,
-            kind=kind, batch=batch, **local_kw,
+            kind=kind, batch=batch, **acc_kw,
         )
         shared.merge_from(local, p, F)
     return shared

@@ -5,6 +5,8 @@ bsz_max)`` — buffers as large as possible while the working set (one
 buffer per group per partition) stays inside the per-core cache budget.
 The paper's effective budget is 1 MiB per core (half of the 20 MiB LLC
 divided by 8 cores, observed in Figure 8); we use the same constant.
+It is kept as the paper's model: no operator calls it, because here the
+batch, not a per-group buffer, is the unit of deposit (DESIGN.md §5).
 
 Partitioning-depth thresholds are the offline-determined cross-over
 points the paper reports (Figure 9 and Section VI-C): a level of
@@ -54,6 +56,8 @@ _DEPTH_THRESHOLDS = {
 def eq4_bsz(n_groups: int, F: int = 1, itemsize: int = 8,
             cache_bytes: int = CACHE_BYTES, bsz_max: int = BSZ_MAX) -> int:
     """Equation 4: cache-filling buffer size, rounded to a power of two.
+
+    The paper's model, for reference; no operator calls it.
 
     The paper's Figure 8 sweeps power-of-two sizes; rounding down to a
     power of two keeps the working set within the cache budget.

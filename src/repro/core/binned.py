@@ -134,56 +134,17 @@ class BinnedSum:
     summation (Algorithm 3's role), `add` the per-element path, `merge`
     the associative combine, `finalize` the rounded result. Any split of
     the input into `add_vector`/`add`/`merge` calls, in any order,
-    yields bit-identical `finalize()` output.
+    yields bit-identical `finalize()` output. The state is a one-slot
+    :class:`GroupedBinnedAcc`, so deposits run through the compiled kernel.
     """
 
     def __init__(self, L: int = 2, dtype=np.float64):
-        if L < 1:
-            raise ValueError("L must be >= 1")
-        self.fmt = fmt_for(dtype)
-        self.L = L
-        self.e_top: int = EMPTY_E
-        self.dev = np.zeros(L, np.int64)
-        self.C = np.zeros(L, np.int64)
-        self._since_renorm = 0
-
-    def _raise_window(self, new_e: int) -> None:
-        if self.e_top == EMPTY_E:
-            self.e_top = new_e
-            return
-        if new_e <= self.e_top:
-            return
-        s = (new_e - self.e_top) // self.fmt.W
-        if s >= self.L:
-            self.dev[:] = 0
-            self.C[:] = 0
-        else:
-            self.dev[s:] = self.dev[: self.L - s]
-            self.dev[:s] = 0
-            self.C[s:] = self.C[: self.L - s]
-            self.C[:s] = 0
-        self.e_top = new_e
+        self._acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=1)
+        self.fmt, self.L = self._acc.fmt, L
 
     def add_vector(self, values) -> "BinnedSum":
         v = np.asarray(values, dtype=self.fmt.dtype).ravel()
-        if v.size == 0:
-            return self
-        _check_finite(v)
-        amax = float(np.max(np.abs(v)))
-        if amax > 0:
-            req = int(self.fmt.top_exponent(amax))
-            self._raise_window(max(req, self.e_top if self.e_top != EMPTY_E else req))
-            self.fmt.check_window(self.e_top, self.L)
-        if self.e_top == EMPTY_E:  # all zeros so far
-            return self
-        units = deposit_units(
-            self.fmt, self.L, v, np.full(v.size, self.e_top, np.int64)
-        )
-        self.dev += units.sum(axis=1)
-        self._since_renorm += v.size
-        if self._since_renorm > (1 << 22):
-            renorm(self.dev, self.C, self.fmt)
-            self._since_renorm = 0
+        self._acc.update_slots(np.zeros(v.size, np.int64), v)
         return self
 
     def add(self, x) -> "BinnedSum":
@@ -191,34 +152,16 @@ class BinnedSum:
 
     def merge(self, other: "BinnedSum") -> "BinnedSum":
         """Associative combine (``operator+=(repro<ScalarT,L>)``)."""
-        if other.fmt is not self.fmt or other.L != self.L:
-            raise TypeError("cannot merge states with different formats or L")
-        if other.e_top == EMPTY_E:
-            return self
-        renorm(self.dev, self.C, self.fmt)
-        odev, oC = other.dev.copy(), other.C.copy()
-        renorm(odev, oC, other.fmt)
-        target = max(self.e_top, other.e_top) if self.e_top != EMPTY_E else other.e_top
-        self._raise_window(target)
-        s = (target - other.e_top) // self.fmt.W
-        if s < self.L:
-            self.dev[s:] += odev[: self.L - s]
-            self.C[s:] += oC[: self.L - s]
-        self._since_renorm = 0
-        renorm(self.dev, self.C, self.fmt)
+        self._acc.merge(other._acc)
         return self
 
     def state(self):
         """(e_top, dev, C) after renormalisation — the canonical bits."""
-        renorm(self.dev, self.C, self.fmt)
-        self._since_renorm = 0
-        return self.e_top, self.dev.copy(), self.C.copy()
+        _, e, dev, C = self._acc.export_states()
+        return int(e[0]), dev[0], C[0]
 
     def finalize(self):
-        e, d, c = self.state()
-        return self.fmt.dtype.type(
-            finalize_state(self.fmt, self.L, np.asarray([e]), d[:, None], c[:, None])[0]
-        )
+        return self._acc.finalize()[0, 0]
 
 
 class GroupedBinnedAcc:
@@ -228,14 +171,11 @@ class GroupedBinnedAcc:
     summation state. Deposit paths:
 
     * :meth:`update` / :meth:`update_slots` with ``fast=True`` — the
-      compiled deposit loop of ``_kernels.c``, one call per chunk;
+      compiled deposit loop of ``_kernels.c``, one call per batch;
     * ``fast=False`` — the *unbuffered* NumPy path: one gather + L
       extractions + L scatter-adds **per element**, mirroring the cost
       profile of using ``repro<ScalarT,L>`` as a drop-in aggregate type
-      (paper Section IV / Figure 4);
-    * :meth:`deposit_rows` — the flush of the explicit summation buffers
-      of Section V (``core/buffers.py``): whole per-group buffers go
-      through ``deposit_units``.
+      (paper Section IV / Figure 4).
 
     Keys are either dense ints in ``[0, dense_n_groups)`` (the paper's
     IDENTITYHASHING setup; no lookup cost) or arbitrary hashables mapped
@@ -268,7 +208,8 @@ class GroupedBinnedAcc:
             return np.arange(self.n_slots)
         return np.asarray(self._keys)
 
-    def _grow(self, add: int) -> None:
+    def grow(self, add: int) -> None:
+        """Append ``add`` empty slots (dense: the slot ids that follow)."""
         if add <= 0:
             return
         self.e_top = np.concatenate(
@@ -297,7 +238,7 @@ class GroupedBinnedAcc:
                 self._keys.append(k)
                 n_new += 1
             lut[i] = s
-        self._grow(n_new)
+        self.grow(n_new)
         return lut[inv]
 
     # -------------------------------------------------------------- windows
@@ -341,22 +282,19 @@ class GroupedBinnedAcc:
         return np.where(e == EMPTY_E, 0, e)
 
     # ------------------------------------------------------------- deposits
-    def update(self, keys, values, *, fast: bool = True,
-               chunk: int | None = None) -> "GroupedBinnedAcc":
+    def update(self, keys, values, *, fast: bool = True) -> "GroupedBinnedAcc":
         """Deposit a batch of <key, value(s)> pairs.
 
         ``fast=True`` (default) is the *batch summation* path — the
         performance realisation of the paper's summation buffers in this
-        substrate: the batch plays the buffer's role and each chunk of at
-        most ``chunk`` rows (None: the whole batch) is one call of the
-        compiled deposit loop, which raises the chunk's windows and then
-        deposits every value's L levels. Smaller chunks model smaller
-        buffers: the same bits with more per-call overhead (Figure 8's
-        left slope). ``fast=False`` is the per-element NumPy cost model of
-        the drop-in ``repro<ScalarT,L>`` type of Section IV (one gather +
-        L generic extractions + L scatter-adds per element). Both produce
-        identical bits (tested). A batch holding NaN/Inf raises before
-        any state changes.
+        substrate: the batch plays the buffer's role and is one call of
+        the compiled deposit loop per value column, which raises the
+        batch's windows and then deposits every value's L levels.
+        ``fast=False`` is the per-element NumPy cost model of the drop-in
+        ``repro<ScalarT,L>`` type of Section IV (one gather + L generic
+        extractions + L scatter-adds per element). Both produce identical
+        bits (tested). A batch holding NaN/Inf raises before any state
+        changes.
         """
         vals = np.asarray(values)
         if vals.ndim == 1:
@@ -364,11 +302,11 @@ class GroupedBinnedAcc:
         if vals.shape[1] != self.ncols:
             raise ValueError(f"expected {self.ncols} value columns")
         slots = self.slots_for(keys)
-        self.update_slots(slots, vals, fast=fast, chunk=chunk)
+        self.update_slots(slots, vals, fast=fast)
         return self
 
     def update_slots(self, slots: np.ndarray, vals: np.ndarray, *,
-                     fast: bool = True, chunk: int | None = None) -> None:
+                     fast: bool = True) -> None:
         vals = np.asarray(vals)
         if vals.ndim == 1:
             vals = vals[:, None]
@@ -386,35 +324,12 @@ class GroupedBinnedAcc:
             return
         slots = np.ascontiguousarray(slots, np.int64)
         # one kernel call never exceeds the lazy-renorm budget
-        step = max(1, min(chunk or n, _RENORM_EVERY))
+        step = _RENORM_EVERY
         for i in range(0, n, step):
             for j in range(self.ncols):
                 _kernels.deposit(self.fmt, self.L, self.e_top[j], self.dev[j],
                                  self.C[j], slots[i:i + step], vals[i:i + step, j])
             self._note_adds(min(step, n - i))
-
-    def deposit_rows(self, j: int, row_slots: np.ndarray, rows: np.ndarray) -> None:
-        """Buffered flush: ``rows[i]`` is the (zero-padded) buffer of
-        ``row_slots[i]``. ``row_slots`` must be distinct within one call.
-
-        Zero padding is free: zeros contribute nothing to any level.
-        """
-        rows = np.ascontiguousarray(rows, dtype=self.fmt.dtype)
-        _check_finite(rows)
-        amax = np.max(np.abs(rows), axis=1)
-        nz = np.flatnonzero(amax > 0)
-        if nz.size == 0:
-            return
-        row_slots = np.asarray(row_slots, np.int64)
-        self._raise_windows(j, row_slots[nz], self.fmt.top_exponent(amax[nz]))
-        e = self.e_top[j, row_slots]
-        live = e != EMPTY_E
-        esafe = np.where(live, e, 0)
-        units = deposit_units(
-            self.fmt, self.L, rows.ravel(), np.repeat(esafe, rows.shape[1])
-        ).reshape(self.L, rows.shape[0], rows.shape[1])
-        self.dev[j][:, row_slots] += units.sum(axis=2)
-        self._note_adds(rows.size)
 
     def _note_adds(self, n: int) -> None:
         # int64 deviations hold >= 2**22 worst-case contributions between
@@ -433,7 +348,7 @@ class GroupedBinnedAcc:
         """Merge exported state rows (possibly several per key) into column j.
 
         ``e_tops (k,)``, ``devs``/``Cs`` ``(k, L)`` int64 — the layout
-        produced by :meth:`export_states` / the Spark codec. Rows with
+        produced by :meth:`export_states`. Rows with
         ``EMPTY_E`` are identity elements and are skipped.
         """
         e_tops = np.asarray(e_tops, np.int64)

@@ -15,7 +15,8 @@ finalize (mirrors Spark's own partial-aggregate → shuffle → final merge):
    accumulator of Section V; ``buffered=False`` gives the per-element
    drop-in path of Section IV). One state row per (group, partition) is
    emitted, as flat ``LongType`` columns ``<v>__e``, ``<v>__d0..`` and
-   ``<v>__c0..``.
+   ``<v>__c0..``; ``<v>__e`` is NULL where the group's values in the
+   partition are all NULL.
 2. Spark SQL expressions, run entirely in the JVM (:func:`_merge_states`):
    after the shuffle every state row is aligned to its group's largest
    window, the per-level deviations and carries are summed as exact
@@ -86,7 +87,6 @@ def rsum_groupby(
     L: int = 2,
     dtype="float64",
     buffered: bool = True,
-    bsz: int = 4096,
 ) -> DataFrame:
     """Reproducible per-group sums of ``values`` grouped by ``keys``.
 
@@ -95,7 +95,8 @@ def rsum_groupby(
     *multiset*: repartitioning, reordering, or changing
     ``spark.sql.shuffle.partitions`` does not change a single bit
     (asserted in tests). ``L`` controls accuracy as in the paper
-    (L=2 ≈ IEEE accuracy, L=3 far beyond it).
+    (L=2 ≈ IEEE accuracy, L=3 far beyond it). As SQL SUM, NULLs are
+    ignored and a group whose values are all NULL sums to NULL.
     """
     keycols, valcols = _as_list(keys), _as_list(values)
     fmt = fmt_for(np.float32 if str(dtype) in ("float32", "float") else np.float64)
@@ -107,28 +108,29 @@ def rsum_groupby(
         state_fields += _state_fields(vc, L)
     state_schema = T.StructType(state_fields)
 
-    # Arrow batches play the summation-buffer role; bsz bounds the
-    # deposit chunk (GroupedBinnedAcc.update's ``chunk``).
-    chunk = max(16, int(bsz)) if bsz else None
-
     def partial(batches):
         """Per-partition partial aggregation with vectorized deposits."""
-        acc = GroupedBinnedAcc(L=L, dtype=npdtype, ncols=ncols)
+        # slot i holds the group whose key tuple is rows[i]
+        acc = GroupedBinnedAcc(L=L, dtype=npdtype, ncols=ncols, dense_n_groups=0)
         index: dict[tuple, int] = {}
         rows: list[tuple] = []
+        seen = np.zeros((0, ncols), bool)  # a non-NULL value per slot and column
         for pdf in batches:
             if len(pdf) == 0:
                 continue
             slots = _key_codes(pdf, keycols, index, rows)
+            acc.grow(len(rows) - acc.n_slots)
+            seen = np.pad(seen, ((0, len(rows) - len(seen)), (0, 0)))
             vals = pdf[valcols].to_numpy(np.float64, na_value=np.nan)
             # SQL SUM ignores NULLs; for summation NULL->0 is equivalent.
             # A NaN here is a NULL: the JVM rejected real NaNs upstream.
-            # Documented deviation: an all-NULL group yields 0.0, not NULL.
             nan = np.isnan(vals)
+            for j in range(ncols):
+                seen[slots[~nan[:, j]], j] = True
             if nan.any():
                 vals = np.where(nan, 0.0, vals)
             try:
-                acc.update(slots, vals, fast=buffered, chunk=chunk)
+                acc.update_slots(slots, vals, fast=buffered)
             except ValueError:
                 bad = ~np.isfinite(vals)
                 if not bad.any():
@@ -141,13 +143,11 @@ def rsum_groupby(
                 ) from None
         if not rows:
             return
-        out = {}
-        codes = np.asarray(acc.keys(), np.int64)  # slot order == code order
-        for i, kc in enumerate(keycols):
-            out[kc] = pd.Series([rows[c][i] for c in codes])
+        out = {kc: pd.Series([r[i] for r in rows]) for i, kc in enumerate(keycols)}
         for j, vc in enumerate(valcols):
             _, e, dev, C = acc.export_states(j)
-            out[f"{vc}__e"] = e
+            # a NULL window marks a group with no non-NULL value here
+            out[f"{vc}__e"] = pd.Series(e, dtype="Int64").where(seen[:, j])
             for lev in range(L):
                 out[f"{vc}__d{lev}"] = dev[:, lev]
             for lev in range(L):
@@ -177,7 +177,8 @@ def _merge_states(states: DataFrame, keycols: list[str], valcols: list[str], *,
 
     ``states`` holds the key columns and, per value column, the flat
     state of :func:`_state_fields`: any number of canonical rows
-    (``0 <= dev < 2**(m-2)``) per group, in any order. This is
+    (``0 <= dev < 2**(m-2)``) per group, in any order; a row whose window
+    is NULL had only NULL values. This is
     ``GroupedBinnedAcc.merge_state_rows`` followed by ``finalize``, as
     JVM expressions:
 
@@ -196,7 +197,8 @@ def _merge_states(states: DataFrame, keycols: list[str], valcols: list[str], *,
       representable powers of two, so each product is rounded once.
 
     Returns the key columns plus ``<v>_rsum`` per value column; a group
-    whose rows are all ``EMPTY_E`` sums to 0.
+    whose rows are all ``EMPTY_E`` or NULL sums to 0, and one whose rows
+    are all NULL sums to NULL.
     """
     W, m = fmt.W, fmt.m
     lo_bits = (m - 2) // 2            # dev = hi * 2**lo_bits + lo
@@ -208,12 +210,11 @@ def _merge_states(states: DataFrame, keycols: list[str], valcols: list[str], *,
     def c(vc: str, part: str, lev="") -> str:
         return _q(f"{vc}__{part}{lev}")
 
-    # EMPTY_E rows become NULL, so they drop out of max() and every shift
+    # EMPTY_E (the smallest long) loses every max(); EMPTY_E and NULL
+    # rows get a NULL shift, so they contribute nothing
     live = states.withColumns({
-        f"{vc}__e": F.expr(f"nullif({c(vc, 'e')}, {EMPTY_E}L)") for vc in valcols
-    }).withColumns({
         f"{vc}__s": F.expr(f"(max({c(vc, 'e')}) OVER (PARTITION BY {', '.join(keys)})"
-                           f" - {c(vc, 'e')}) DIV {W}")
+                           f" - nullif({c(vc, 'e')}, {EMPTY_E}L)) DIV {W}")
         for vc in valcols
     })
 
@@ -256,7 +257,9 @@ def _merge_states(states: DataFrame, keycols: list[str], valcols: list[str], *,
             dev = f"{low} & {dev_mask}"
             e_l = f"{c(vc, 'e')} - {lev * W}"
             Q = f"({Q} + ({scaled(C, e_l + ' - 2')} + {scaled(dev, e_l + f' - {m}')}))"
-        results.append(f"coalesce({Q}, CAST(0.0D AS {ftype})) AS {_q(vc + '_rsum')}")
+        # max(e) is EMPTY_E for a group of zeros, NULL for one of NULLs
+        results.append(f"CASE {c(vc, 'e')} WHEN {EMPTY_E}L THEN CAST(0.0D AS {ftype})"
+                       f" ELSE {Q} END AS {_q(vc + '_rsum')}")
     return merged.selectExpr(*keys, *results)
 
 
@@ -322,9 +325,9 @@ def repro_sum_udf(L: int = 2, dtype="float64"):
 
     @F.pandas_udf(ret)
     def repro_sum(v: pd.Series) -> float:
-        arr = v.to_numpy(np.float64, na_value=np.nan)
-        return BinnedSum(L=L, dtype=npdtype).add_vector(
-            arr[~np.isnan(arr)]  # SQL SUM ignores NULLs
-        ).finalize()
+        v = v.dropna()  # SQL SUM ignores NULLs, and is NULL if all are
+        if v.empty:
+            return None
+        return BinnedSum(L=L, dtype=npdtype).add_vector(v.to_numpy()).finalize()
 
     return repro_sum

@@ -105,11 +105,11 @@ def q1_pandas_double(lineitem: DataFrame) -> DataFrame:
     return _with_count(agg, proj, "_rsum")
 
 
-def q1_repro(lineitem: DataFrame, *, L: int = 4, buffered: bool = True,
-             bsz: int = 256) -> DataFrame:
+def q1_repro(lineitem: DataFrame, *, L: int = 4,
+             buffered: bool = True) -> DataFrame:
     """Q1 with reproducible sums (repro<double,L>, Table IV uses L=4)."""
     proj = q1_projected(lineitem)
-    agg = rsum_groupby(proj, Q1_KEYS, Q1_SUMS, L=L, buffered=buffered, bsz=bsz)
+    agg = rsum_groupby(proj, Q1_KEYS, Q1_SUMS, L=L, buffered=buffered)
     return _with_count(agg, proj, "_rsum")
 
 

@@ -79,11 +79,10 @@ class TestRepro:
     @pytest.mark.parametrize("L", [1, 2, 4])
     def test_bits_stable_under_permutation(self, kind, L):
         keys, vals = np_groupby_input(8000, 25, dist="mixed", seed=L)
-        kw = {"L": L} if kind == "repro" else {"L": L, "bsz": 19}
-        a = make_acc(kind, 25, **kw)
+        a = make_acc(kind, 25, L=L)
         a.update(keys, vals)
         perm = np.random.default_rng(1).permutation(keys.size)
-        b = make_acc(kind, 25, **kw)
+        b = make_acc(kind, 25, L=L)
         b.update(keys[perm], vals[perm])
         assert a.result_bits() == b.result_bits()
 
@@ -91,7 +90,7 @@ class TestRepro:
         keys, vals = np_groupby_input(8000, 25, dist="mixed", seed=7)
         a = make_acc("repro", 25, L=3)
         a.update(keys, vals)
-        b = make_acc("repro_buffered", 25, L=3, bsz=41)
+        b = make_acc("repro_buffered", 25, L=3)
         b.update(keys, vals)
         assert a.result_bits() == b.result_bits()
 

@@ -11,7 +11,7 @@ from repro.synth_data import np_groupby_input
 @pytest.mark.parametrize("kind,kw", [
     ("builtin", {}),
     ("repro", {"L": 2}),
-    ("repro_buffered", {"L": 2, "bsz": 64}),
+    ("repro_buffered", {"L": 2}),
 ])
 def test_sums_close_to_fsum(kind, kw):
     keys, vals = np_groupby_input(30000, 100, dist="uniform12", seed=1)
@@ -48,7 +48,7 @@ class TestNonReproducibilityOfFloats:
 
     @pytest.mark.parametrize("kind,kw", [
         ("repro", {"L": 1}), ("repro", {"L": 2}),
-        ("repro_buffered", {"L": 2, "bsz": 2}),
+        ("repro_buffered", {"L": 2}),
     ])
     def test_repro_sum_does_not(self, kind, kw):
         keys = np.zeros(3, np.int64)

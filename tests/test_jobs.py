@@ -6,8 +6,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "jobs"))
 
+import table2_error_bounds  # noqa: E402
 import table3_slowdown  # noqa: E402
 import table4_tpch_q1  # noqa: E402
+
+
+class TestTable2Job:
+    def test_main_quick(self, monkeypatch, capsys):
+        """Every measured RSUM error of ``BinnedSum`` within its Eq. 6 bound."""
+        monkeypatch.setenv("QUICK", "1")
+        assert table2_error_bounds.main() == 0
+        assert "All measured errors within their analytic bounds" in \
+            capsys.readouterr().out
 
 
 class TestTable3Job:

@@ -33,13 +33,22 @@ def _same_state(a: GroupedBinnedAcc, b: GroupedBinnedAcc) -> bool:
     return all(np.array_equal(x, y) for x, y in zip(_state(a), _state(b)))
 
 
+def _update_in_calls(acc: GroupedBinnedAcc, keys, vals, rows: int | None):
+    """``acc.update`` over ``rows`` rows at a time (None: one call), so each
+    call is one kernel call per column."""
+    step = rows or max(len(keys), 1)
+    for i in range(0, len(keys), step):
+        acc.update(keys[i:i + step], vals[i:i + step])
+    return acc
+
+
 # ------------------------------------------------------------ property
 @st.composite
 def grouped_batches(draw):
     """Rows of up to 4 groups in up to 3 batches. Magnitudes run from
     subnormals to the top binade, with extra weight on both guard rails;
     signs are mixed and zeros occur. Each group's first nonzero row has a
-    window inside the guard rails (an anchor), so any chunking passes
+    window inside the guard rails (an anchor), so any split passes
     ``check_window``; later rows may be subnormal or raise the window,
     inside one batch or in a later one."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
@@ -77,11 +86,11 @@ def grouped_batches(draw):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(grouped_batches(), st.sampled_from([1, 7, None]))
-def test_fast_matches_unbuffered_and_algorithm2(case, chunk):
+def test_fast_matches_unbuffered_and_algorithm2(case, rows):
     dtype, L, G, keys, vals, cuts = case
     fast = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=G)
     for ks, vs in zip(np.split(keys, cuts), np.split(vals, cuts)):
-        fast.update(ks, vs, chunk=chunk)
+        _update_in_calls(fast, ks, vs, rows)
     ref = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=G)
     ref.update(keys, vals, fast=False)
     assert _same_state(fast, ref)
@@ -97,10 +106,11 @@ def test_multicolumn_chunks_match_unbuffered(dtype):
     rng = np.random.default_rng(3)
     keys = rng.integers(0, 50, 5000)
     vals = (rng.standard_normal((5000, 3)) * 10.0 ** rng.integers(-6, 7, (5000, 3)))
-    ref = GroupedBinnedAcc(L=3, dtype=dtype, ncols=3).update(keys, vals, fast=False)
-    for chunk in (1, 7, 4096, None):
-        acc = GroupedBinnedAcc(L=3, dtype=dtype, ncols=3).update(keys, vals, chunk=chunk)
-        assert _same_state(acc, ref)
+    ref = GroupedBinnedAcc(L=3, dtype=dtype, ncols=3, dense_n_groups=50)
+    ref.update(keys, vals, fast=False)
+    for rows in (1, 7, 4096, None):
+        acc = GroupedBinnedAcc(L=3, dtype=dtype, ncols=3, dense_n_groups=50)
+        assert _same_state(_update_in_calls(acc, keys, vals, rows), ref)
 
 
 def test_kernel_calls_stay_within_renorm_budget(monkeypatch):
@@ -118,8 +128,13 @@ def test_kernel_calls_stay_within_renorm_budget(monkeypatch):
 
 # -------------------------------------------------------------- errors
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("chunk", [None, 7])
-def test_nonfinite_raises_and_leaves_state_untouched(bad, chunk):
+@pytest.mark.parametrize("calls_of", [None, 7])
+def test_nonfinite_raises_and_leaves_state_untouched(bad, calls_of, monkeypatch):
+    """Also when the batch is cut into kernel calls of 7 rows (through the
+    renorm cap): the whole batch is checked before the first call."""
+    from repro.core import binned
+    if calls_of:
+        monkeypatch.setattr(binned, "_RENORM_EVERY", calls_of)
     keys = np.arange(40) % 4
     vals = np.ldexp(1.5, np.arange(40) - 20).reshape(20, 2)
     acc = GroupedBinnedAcc(L=2, ncols=2, dense_n_groups=4)
@@ -127,7 +142,7 @@ def test_nonfinite_raises_and_leaves_state_untouched(bad, chunk):
     before = [x.copy() for x in (acc.e_top, acc.dev, acc.C)]
     vals[17, 1] = bad  # windows of earlier rows and column 0 would rise
     with pytest.raises(ValueError, match="finite"):
-        acc.update(keys[20:], vals, chunk=chunk)
+        acc.update(keys[20:], vals)
     for x, y in zip(before, (acc.e_top, acc.dev, acc.C)):
         assert np.array_equal(x, y)
 
@@ -154,7 +169,7 @@ def test_out_of_range_message(dtype, L, x, fast):
 
 def test_subnormal_after_its_window_is_set():
     """A subnormal may join a group whose window is already high enough,
-    also in the same chunk; rails are checked on the chunk's final windows."""
+    also in the same call; rails are checked on the call's final windows."""
     for order in ([1.0, 5e-324], [5e-324, 1.0]):
         acc = GroupedBinnedAcc(L=2, dense_n_groups=1).update([0, 0], order)
         assert acc.finalize()[0, 0] == 1.0

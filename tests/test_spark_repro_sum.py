@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import BinnedSum
+from repro.core import GroupedBinnedAcc
 from repro.oracle import assert_equivalent
 from repro.spark import repro_sum_udf, rsum_groupby
 from repro.synth_data import groupby_pairs, np_groupby_input
@@ -15,10 +15,10 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 def _local_ref(n, n_groups, dist, seed, L):
+    """Per-group sums through the unbuffered per-element NumPy path."""
     keys, vals = np_groupby_input(n, n_groups, dist=dist, seed=seed)
-    return np.array(
-        [BinnedSum(L=L).add_vector(vals[keys == k]).finalize() for k in range(n_groups)]
-    )
+    acc = GroupedBinnedAcc(L=L, dense_n_groups=n_groups)
+    return acc.update(keys, vals, fast=False).finalize()[:, 0]
 
 
 class TestBitExactness:
@@ -37,7 +37,7 @@ class TestBitExactness:
         df = groupby_pairs(spark, n=30_000, n_groups=10, dist="mixed", seed=2)
         ref = _local_ref(30_000, 10, "mixed", 2, 2)
         got = (
-            rsum_groupby(df, "k", "v", L=2, buffered=buffered, bsz=13)
+            rsum_groupby(df, "k", "v", L=2, buffered=buffered)
             .toPandas().sort_values("k")
         )
         assert np.array_equal(_bits(got["v_rsum"].to_numpy()), _bits(ref))
@@ -136,16 +136,27 @@ class TestSemantics:
         assert dict(out.dtypes)["v_rsum"] == "float"
         assert out.count() == 4
 
-    def test_nulls_ignored_like_sql_sum(self, spark):
-        pdf = pd.DataFrame({"k": [0, 0, 1, 1], "v": [1.0, None, None, None]})
-        df = spark.createDataFrame(pdf)
-        got = (
-            rsum_groupby(df, "k", "v", L=2).toPandas()
-            .sort_values("k").reset_index(drop=True)
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_nulls_ignored_like_sql_sum(self, spark, dtype):
+        """NULLs are skipped; a column whose values in a group are all
+        NULL sums to NULL, and one whose values are all zero to 0.0."""
+        df = spark.createDataFrame(
+            [(0, 1.0, None), (0, None, None), (1, None, 2.0), (1, None, None),
+             (2, 0.0, None), (2, -0.0, 0.0)],
+            "k long, a double, b double",
         )
-        assert got["v_rsum"][0] == 1.0
-        # documented deviation: an all-NULL group yields 0.0, not NULL
-        assert got["v_rsum"][1] == 0.0
+        for parts in (1, 4):
+            got = rsum_groupby(df.repartition(parts), "k", ["a", "b"], L=2,
+                               dtype=dtype).collect()
+            assert sorted(got) == [(0, 1.0, None), (1, None, 2.0), (2, 0.0, 0.0)]
+
+    def test_udaf_nulls_like_sql_sum(self, spark):
+        df = spark.createDataFrame(
+            [(0, 1.0), (0, None), (1, None), (1, None), (2, 0.0), (2, None)],
+            "k long, v double",
+        )
+        got = df.groupBy("k").agg(repro_sum_udf(L=2)(F.col("v")).alias("s"))
+        assert sorted(got.collect()) == [(0, 1.0), (1, None), (2, 0.0)]
 
     def test_nan_raises_naming_column(self, spark):
         """NaN is a value, not a NULL: pandas would read both as NaN and
