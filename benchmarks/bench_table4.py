@@ -1,6 +1,6 @@
 """Table IV benchmark: end-to-end TPC-H Q1 variants on Spark.
 
-``jobs/table4_tpch_q1.py`` (SF=0.4, in-pipeline baseline, warm-ups,
+``jobs/table4_tpch_q1.py`` (SF=0.1, native baseline, warm-ups,
 best-of-N) is the authoritative Table IV reproduction; these
 pytest-benchmark cases track each variant's cost at a smaller SF as a
 regression signal. At small scale fixed per-query costs (JVM planning,
@@ -34,25 +34,15 @@ def bench_q1_native_double(benchmark, lineitem):
 
 @pytest.mark.benchmark(group="table4-q1")
 def bench_q1_pandas_double(benchmark, lineitem):
-    """The in-pipeline baseline the repro variants are measured against."""
+    """The Python/JVM boundary's cost: a double SUM in a pandas operator."""
     benchmark.pedantic(_collect, args=(tpch.q1_pandas_double(lineitem),),
                        rounds=3, warmup_rounds=1)
 
 
 @pytest.mark.benchmark(group="table4-q1")
-def bench_q1_repro_unbuffered(benchmark, lineitem):
-    benchmark.pedantic(
-        _collect, args=(tpch.q1_repro(lineitem, L=4, buffered=False),),
-        rounds=3, warmup_rounds=1,
-    )
-
-
-@pytest.mark.benchmark(group="table4-q1")
-def bench_q1_repro_buffered(benchmark, lineitem):
-    benchmark.pedantic(
-        _collect, args=(tpch.q1_repro(lineitem, L=4, buffered=True),),
-        rounds=3, warmup_rounds=1,
-    )
+def bench_q1_repro(benchmark, lineitem):
+    benchmark.pedantic(_collect, args=(tpch.q1_repro(lineitem, L=4),),
+                       rounds=3, warmup_rounds=1)
 
 
 @pytest.mark.benchmark(group="table4-q1")

@@ -1,18 +1,23 @@
 """Table IV — end-to-end TPC-H Q1 cost of reproducibility in a real engine.
 
-The paper integrates repro<double,4> into MonetDB and reports CPU time
-relative to unmodified doubles; here the engine is Spark SQL and the
-operator is the mapInPandas partial → shuffle → SQL merge pipeline of
-``repro.spark.repro_sum``. Variants:
+The paper integrates repro<double,4> into MonetDB's SUM operator and
+reports CPU time relative to unmodified doubles; here the engine is
+Spark SQL and the operator is ``repro.spark.repro_sum.rsum_groupby``,
+which is one Catalyst plan of JVM expressions. Variants:
 
 * ``double``            — native Spark sums (non-reproducible baseline);
-* ``repro<d,4> no-buf`` — drop-in per-element deposit path (Section IV);
-* ``repro<d,4> buffer`` — summation buffers (Section V);
-* ``double (sorted)``   — reproducible-by-sorting baseline.
+* ``repro<d,4>``        — ``rsum_groupby`` at L=4 (a JVM plan, like the
+                          native row);
+* ``double (sorted)``   — reproducible-by-sorting baseline;
+* ``double (pandas)``   — plain double sums through a mapInPandas
+                          operator: the cost of the Python/JVM boundary.
 
+The buffered-versus-unbuffered contrast of the paper's Table IV is in
+Table III here (``kind="repro"`` against ``kind="repro_buffered"``).
 Each variant's wall time is split into "Aggregations" and "Other" by
-measuring the shared scan+filter+projection once; all numbers are
-normalised to the native total = 100 (the paper's presentation).
+measuring the shared scan+filter+projection once (for the pandas rows,
+with the Arrow transfer into Python); all numbers are normalised to the
+native total = 100 (the paper's presentation).
 
 Run: ``python jobs/table4_tpch_q1.py`` (creates its own SparkSession
 when run as a script). Knobs: ``SF`` (default 0.1), ``REPS`` (default 3).
@@ -39,35 +44,24 @@ def run(spark, sf: float = 0.1, reps: int = 3):
     li = tpch.q1_input(spark, sf=sf).persist()
     li.count()  # materialise the input outside the timed region
 
-    # The baseline is a plain double SUM through the *same*
-    # pandas-operator pipeline — the analogue of the paper swapping the
-    # aggregation operator inside MonetDB while everything else stays
-    # identical. Spark's JVM hash aggregate is reported as an extra
-    # reference row (it measures the Python/JVM boundary, not
-    # reproducibility).
     variants = {
-        "double": lambda: tpch.q1_pandas_double(li).collect(),
-        "repro<d,4> without buffer": lambda: tpch.q1_repro(
-            li, L=4, buffered=False
-        ).collect(),
-        "repro<d,4> with buffer": lambda: tpch.q1_repro(
-            li, L=4, buffered=True
-        ).collect(),
+        "double": lambda: tpch.q1_native(li).collect(),
+        "repro<d,4>": lambda: tpch.q1_repro(li, L=4).collect(),
         "double (sorted)": lambda: tpch.q1_sorted(li).collect(),
-        "double (Spark JVM, ref)": lambda: tpch.q1_native(li).collect(),
+        "double (pandas)": lambda: tpch.q1_pandas_double(li).collect(),
     }
+    jvm_rows = ("double", "repro<d,4>")
     for fn in variants.values():  # warm-up (JIT, Arrow, Python workers)
         fn()
-    # "Other" = everything but the aggregation operator. For the
-    # pandas-operator rows that includes the Arrow transfer into Python
-    # (measured by an identity pipeline); the JVM reference row's other
-    # is the native scan+filter+project.
+    # "Other" = everything but the aggregation operator: the native
+    # scan+filter+project for the JVM rows, plus the Arrow transfer into
+    # Python (an identity mapInPandas) for the pandas-operator rows.
     other_pipe = _timed(lambda: tpch.q1_pipeline_other(li).collect(), reps)
     other_jvm = _timed(lambda: tpch.q1_scan_other(li).collect(), reps)
     out = {}
     for name, fn in variants.items():
         total = _timed(fn, reps)
-        other = other_jvm if "JVM" in name else other_pipe
+        other = other_jvm if name in jvm_rows else other_pipe
         out[name] = (max(0.0, total - other), other, total)
     li.unpersist()
     return out
@@ -75,8 +69,9 @@ def run(spark, sf: float = 0.1, reps: int = 3):
 
 PAPER_TABLE4 = {  # % of native total CPU time (paper Table IV)
     "double": (34.2, 65.8, 100.0),
-    "repro<d,4> without buffer": (51.3, 63.1, 114.4),
-    "repro<d,4> with buffer": (38.7, 64.0, 102.7),
+    # the paper's buffered row; its unbuffered row (51.3/63.1/114.4) has
+    # no counterpart in the one Spark operator
+    "repro<d,4>": (38.7, 64.0, 102.7),
     "double (sorted)": (45.1, 682.1, 727.2),
 }
 

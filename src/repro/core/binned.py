@@ -208,7 +208,7 @@ class GroupedBinnedAcc:
             return np.arange(self.n_slots)
         return np.asarray(self._keys)
 
-    def grow(self, add: int) -> None:
+    def _grow(self, add: int) -> None:
         """Append ``add`` empty slots (dense: the slot ids that follow)."""
         if add <= 0:
             return
@@ -238,7 +238,7 @@ class GroupedBinnedAcc:
                 self._keys.append(k)
                 n_new += 1
             lut[i] = s
-        self.grow(n_new)
+        self._grow(n_new)
         return lut[inv]
 
     # -------------------------------------------------------------- windows

@@ -1,9 +1,9 @@
 """PySpark layer: reproducible GROUPBY as a custom physical operator.
 
-* :mod:`repro.spark.repro_sum` — the headline deliverable: associative
-  reproducible states + vectorized batch summation over Arrow batches,
-  as a mapInPandas partial → shuffle → SQL align/sum/renorm/finalize
-  pipeline and as a grouped-agg pandas UDAF.
+* :mod:`repro.spark.repro_sum` — the headline deliverable: the binned
+  reproducible sum as one Spark SQL plan (deposit projection → Spark's
+  partial aggregate → shuffle → SQL align/renorm/finalize), and as a
+  grouped-agg pandas UDAF.
 * :mod:`repro.spark.sorted_agg` — reproducible-by-sorting baseline.
 * :mod:`repro.spark.tpch` — TPC-H Q1 variants for Table IV.
 """

@@ -6,8 +6,8 @@ aggregation-heaviest query. Here the host engine is Spark SQL and the
 four variants are:
 
 * ``q1_native``      — built-in double sums (Spark's hash aggregate);
-* ``q1_repro``       — reproducible sums via :func:`rsum_groupby`
-                       (``buffered=`` selects Section IV vs Section V);
+* ``q1_repro``       — reproducible sums via :func:`rsum_groupby`, one
+                       JVM plan;
 * ``q1_sorted``      — reproducible-by-sorting baseline;
 * ``q1_scan_other``  — the query minus aggregation (scan + filter +
                        projection), used to split total time into
@@ -97,19 +97,17 @@ def q1_native(lineitem: DataFrame) -> DataFrame:
 
 
 def q1_pandas_double(lineitem: DataFrame) -> DataFrame:
-    """Q1 with plain doubles through the same pandas-operator pipeline —
-    the in-engine baseline the repro variants are compared against
-    (Table IV's 'double' row)."""
+    """Q1 with plain doubles through a pandas-operator pipeline: the cost
+    of the Python/JVM boundary alone (Table IV's pandas-pipeline row)."""
     proj = q1_projected(lineitem)
     agg = pandas_sum_groupby(proj, Q1_KEYS, Q1_SUMS)
     return _with_count(agg, proj, "_rsum")
 
 
-def q1_repro(lineitem: DataFrame, *, L: int = 4,
-             buffered: bool = True) -> DataFrame:
+def q1_repro(lineitem: DataFrame, *, L: int = 4) -> DataFrame:
     """Q1 with reproducible sums (repro<double,L>, Table IV uses L=4)."""
     proj = q1_projected(lineitem)
-    agg = rsum_groupby(proj, Q1_KEYS, Q1_SUMS, L=L, buffered=buffered)
+    agg = rsum_groupby(proj, Q1_KEYS, Q1_SUMS, L=L)
     return _with_count(agg, proj, "_rsum")
 
 
@@ -123,7 +121,7 @@ def q1_sorted(lineitem: DataFrame) -> DataFrame:
 def q1_scan_other(lineitem: DataFrame) -> DataFrame:
     """The non-aggregation part of Q1 (scan+filter+projection), with a
     trivial count to force execution — the "Other" cost for the JVM
-    reference row of Table IV."""
+    rows of Table IV (native and repro)."""
     return q1_projected(lineitem).select(
         F.count(F.lit(1)).alias("n"),
     )
@@ -135,7 +133,7 @@ def q1_pipeline_other(lineitem: DataFrame) -> DataFrame:
     with an identity mapInPandas that consumes every batch and emits
     nothing. Subtracting this from a variant's total isolates its
     aggregation-operator cost — the "Other"/"Aggregations" split of
-    Table IV for the in-engine rows."""
+    Table IV for the pandas-pipeline row."""
     import pandas as pd
     from pyspark.sql import types as T
 

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import EMPTY_E, GroupedBinnedAcc, RsumScalar, fmt_for
+from repro.core import EMPTY_E, GroupedBinnedAcc, RsumScalar, finalize_state, fmt_for
 from repro.spark import rsum_groupby
-from repro.spark.repro_sum import _merge_states, _state_fields
+from repro.spark.repro_sum import _merge_states
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -33,50 +33,70 @@ def _max_binade(fmt) -> int:
 
 
 # ------------------------------------------------------- merge exactness
-def _synthetic_states(fmt, L: int, n: int, seed: int):
-    """Canonical state rows with worst-case deviations ``2**(m-2) - 1``,
-    windows up to three levels apart, EMPTY_E rows, and mixed-sign carries.
-    Group 0 receives ``n`` rows; groups 1 and 2 a few each."""
+def _synthetic_bins(fmt, L: int, n: int, seed: int):
+    """Per-bin rows of one value column: group 0 receives ``n`` rows,
+    most at one window and the rest up to three levels below it, whose
+    high halves are so large that a level's recombined sum
+    ``H * 2**lo_bits + Lo`` needs more than 64 bits; groups 1 and 2 a
+    few rows each. ``EMPTY_E`` rows carry zeros, and group 2 has only
+    those."""
     rng = np.random.default_rng(seed)
+    lo_bits = (fmt.m - 2) // 2
     e0 = fmt.e_bot_min + (L + 2) * fmt.W
     keys = np.concatenate([np.zeros(n, np.int64), np.repeat([1, 2], 8)])
     k = keys.size
-    e = e0 - fmt.W * rng.integers(0, 4, k)
+    e = e0 - fmt.W * rng.choice(4, k, p=[0.7, 0.1, 0.1, 0.1])
     e[rng.random(k) < 0.1] = EMPTY_E
-    e[keys == 2] = EMPTY_E  # a group with no live row
-    dev = np.full((k, L), (1 << (fmt.m - 2)) - 1, np.int64)
-    C = rng.integers(-(1 << 20), 1 << 20, (k, L))
-    dev[e == EMPTY_E] = 0
-    C[e == EMPTY_E] = 0
-    return keys, e, dev, C
+    e[keys == 2] = EMPTY_E
+    h = rng.integers(1 << (51 - lo_bits), 1 << (52 - lo_bits), (k, L))
+    h[rng.random((k, L)) < 0.1] *= -1
+    lo = rng.integers(0, 1 << 45, (k, L))
+    h[e == EMPTY_E] = 0
+    lo[e == EMPTY_E] = 0
+    return keys, e, h, lo
+
+
+def _exact_merge(fmt, L: int, keys, e, h, lo) -> np.ndarray:
+    """The merge in Python integers: per group, every live row's halves
+    recombined at their level of the group's largest window, renormed
+    and finalized by ``finalize_state``."""
+    lo_bits, cap = (fmt.m - 2) // 2, 1 << (fmt.m - 2)
+    out, widest = [], 0
+    for g in np.unique(keys):
+        rows = [i for i in np.flatnonzero(keys == g) if e[i] != EMPTY_E]
+        top = max((int(e[i]) for i in rows), default=EMPTY_E)
+        T = [0] * L
+        for i in rows:
+            s = (top - int(e[i])) // fmt.W
+            for lev in range(s, L):
+                T[lev] += (int(h[i, lev - s]) << lo_bits) + int(lo[i, lev - s])
+        widest = max([widest] + [abs(t).bit_length() for t in T])
+        dev = np.array([[t % cap] for t in T], np.int64)
+        C = np.array([[t // cap] for t in T], np.int64)
+        out.append(finalize_state(fmt, L, np.array([top]), dev, C)[0])
+    assert widest > 63  # a long would overflow
+    return np.array(out, fmt.dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("ansi", ["true", "false"])
 def test_sql_merge_exact_beyond_long_headroom(spark, dtype, ansi):
-    """20 000 rows of ``dev = 2**(m-2) - 1`` for one group: a plain sum
-    of double deviations needs 2**64.3 and would overflow a long (raise
-    under ANSI, wrap without). The SQL merge stays bit-equal to
-    ``merge_state_rows`` + ``finalize`` in either mode."""
+    """20 000 per-bin rows for one group whose recombined halves need
+    more than 64 bits (a long would raise under ANSI, wrap without):
+    the SQL merge stays bit-equal to an exact Python-integer merge in
+    either mode."""
     fmt, L = fmt_for(dtype), 3
-    keys, e, dev, C = _synthetic_states(fmt, L, 20_000, seed=5)
-    cols = {"k": keys, "v__e": e}
-    cols.update({f"v__d{lev}": dev[:, lev] for lev in range(L)})
-    cols.update({f"v__c{lev}": C[:, lev] for lev in range(L)})
-    assert [f.name for f in _state_fields("v", L)] == list(cols)[1:]
-    states = spark.createDataFrame(pd.DataFrame(cols)).repartition(5)
-
-    ref = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=3)
-    step = 1 << 11  # merge_state_rows renormalises at most every 2**12 rows
-    for i in range(0, keys.size, step):
-        s = slice(i, i + step)
-        ref.merge_state_rows(keys[s], e[s], dev[s], C[s])
-    want = ref.finalize()[:, 0]
+    keys, e, h, lo = _synthetic_bins(fmt, L, 20_000, seed=5)
+    cols = {"k": keys, "__j": np.zeros(keys.size, np.int32), "__e": e}
+    for lev in range(L):
+        cols.update({f"__h{lev}": h[:, lev], f"__l{lev}": lo[:, lev]})
+    bins = spark.createDataFrame(pd.DataFrame(cols)).repartition(5)
+    want = _exact_merge(fmt, L, keys, e, h, lo)
 
     old = spark.conf.get("spark.sql.ansi.enabled")
     spark.conf.set("spark.sql.ansi.enabled", ansi)
     try:
-        got = _sorted_sums(_merge_states(states, ["k"], ["v"], L=L, fmt=fmt), dtype)
+        got = _sorted_sums(_merge_states(bins, ["k"], ["v"], L=L, fmt=fmt), dtype)
     finally:
         spark.conf.set("spark.sql.ansi.enabled", old)
     assert want[2] == 0.0
@@ -124,14 +144,18 @@ def test_float32_matches_grouped_acc_at_guard_rails(spark, L):
 _PY_OPERATOR = re.compile(r"Pandas|Python|Arrow")
 
 
-def test_plan_has_one_python_operator(spark):
-    """The executed plan runs Python once, in the ``MapInPandas``
-    partial; merge and finalize are JVM operators. A per-group Python
-    merge (``FlatMapGroupsInPandas``) fails this test."""
+@pytest.mark.parametrize("values", [["a"], ["a", "b"]],
+                         ids=["one_column", "two_columns"])
+def test_plan_has_no_python_operator(spark, values):
+    """The executed plan is JVM operators only: deposit, aggregation,
+    merge and finalize all run in Spark SQL, with Spark's own
+    ``HashAggregate``. A Python partial (``MapInPandas``,
+    ``ArrowEvalPython``) or a per-group Python merge
+    (``FlatMapGroupsInPandas``) fails this test."""
     df = spark.createDataFrame(
         pd.DataFrame({"k": np.arange(200) % 7, "a": np.arange(200.0),
                       "b": np.ones(200)}))
-    out = rsum_groupby(df, "k", ["a", "b"], L=2)
+    out = rsum_groupby(df, "k", values, L=2)
     out.collect()
     plan = out._jdf.queryExecution().executedPlan().toString()
     if "== Final Plan ==" in plan:  # adaptive execution: keep the final plan
@@ -139,8 +163,28 @@ def test_plan_has_one_python_operator(spark):
     ops = [m.group(1) for m in re.finditer(r"^[\s+\-:*()\d]*([A-Za-z]\w*)",
                                            plan, re.M)]
     assert "HashAggregate" in ops
-    assert [op for op in ops if _PY_OPERATOR.search(op)] == ["MapInPandas"]
-    assert "FlatMapGroupsInPandas" not in plan
+    assert [op for op in ops if _PY_OPERATOR.search(op)] == []
+    for op in ("MapInPandas", "ArrowEvalPython", "FlatMapGroupsInPandas"):
+        assert op not in plan
+
+
+# ----------------------------------------------------------- level limit
+@pytest.mark.parametrize("dtype, max_L", [(np.float64, 27), (np.float32, 9)])
+def test_deepest_levels_and_limit(spark, dtype, max_L):
+    """The deepest L whose lowest extractor ``1.5*2**(m-(L-1)*W)`` is a
+    normal number sums bit-equal to ``GroupedBinnedAcc``; one level more
+    is rejected, naming the limit."""
+    vals = np.array([1e6, 3.0, -2.5e5, 7e-3, 0.0], dtype)
+    df = spark.createDataFrame(pd.DataFrame({"k": np.zeros(5, np.int64),
+                                             "v": vals.astype(np.float64)}))
+    name = np.dtype(dtype).name
+    want = (GroupedBinnedAcc(L=max_L, dtype=dtype, dense_n_groups=1)
+            .update(np.zeros(5, np.int64), vals, fast=False).finalize()[:, 0])
+    got = _sorted_sums(rsum_groupby(df, "k", "v", L=max_L, dtype=name), dtype)
+    assert np.array_equal(_bits(got), _bits(want))
+    for L in (0, max_L + 1):
+        with pytest.raises(ValueError, match=rf"L={L} is outside \[1, {max_L}\]"):
+            rsum_groupby(df, "k", "v", L=L, dtype=name)
 
 
 # ------------------------------------------------- three-way property test

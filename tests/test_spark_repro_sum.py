@@ -14,10 +14,10 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return a.view(np.int64) if a.dtype == np.float64 else a.view(np.int32)
 
 
-def _local_ref(n, n_groups, dist, seed, L):
+def _local_ref(n, n_groups, dist, seed, L, dtype=np.float64):
     """Per-group sums through the unbuffered per-element NumPy path."""
     keys, vals = np_groupby_input(n, n_groups, dist=dist, seed=seed)
-    acc = GroupedBinnedAcc(L=L, dense_n_groups=n_groups)
+    acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=n_groups)
     return acc.update(keys, vals, fast=False).finalize()[:, 0]
 
 
@@ -32,15 +32,16 @@ class TestBitExactness:
         ref = _local_ref(50_000, 64, "mixed", L, L)
         assert np.array_equal(_bits(got["v_rsum"].to_numpy()), _bits(ref))
 
-    @pytest.mark.parametrize("buffered", [True, False])
-    def test_buffered_and_unbuffered_identical(self, spark, buffered):
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_dtype_matches_unbuffered_reference(self, spark, dtype):
         df = groupby_pairs(spark, n=30_000, n_groups=10, dist="mixed", seed=2)
-        ref = _local_ref(30_000, 10, "mixed", 2, 2)
+        ref = _local_ref(30_000, 10, "mixed", 2, 2, dtype=np.dtype(dtype))
         got = (
-            rsum_groupby(df, "k", "v", L=2, buffered=buffered)
+            rsum_groupby(df, "k", "v", L=2, dtype=dtype)
             .toPandas().sort_values("k")
         )
-        assert np.array_equal(_bits(got["v_rsum"].to_numpy()), _bits(ref))
+        assert np.array_equal(_bits(got["v_rsum"].to_numpy().astype(dtype)),
+                              _bits(ref))
 
     @pytest.mark.parametrize("parts", [1, 3, 16])
     def test_repartition_bit_stable(self, spark, parts):
@@ -159,8 +160,8 @@ class TestSemantics:
         assert sorted(got.collect()) == [(0, 1.0), (1, None), (2, 0.0)]
 
     def test_nan_raises_naming_column(self, spark):
-        """NaN is a value, not a NULL: pandas would read both as NaN and
-        drop them, so the JVM rejects NaN before the Python partial."""
+        """NaN is a value, not a NULL: SQL SUM would return NaN, which
+        has no reproducible sum, so the JVM rejects it, naming the column."""
         df = spark.createDataFrame(
             [(1, 1.0, 1.0), (1, 2.0, float("nan")), (1, 3.0, None)],
             "k long, a double, b double",
@@ -168,6 +169,32 @@ class TestSemantics:
         with pytest.raises(Exception, match=r"column 'b' holds NaN"):
             rsum_groupby(df, "k", ["a", "b"], L=2).collect()
         assert rsum_groupby(df.where("k = 0"), "k", ["a", "b"], L=2).count() == 0
+
+    def test_udaf_nan_raises_naming_column(self, spark):
+        """The UDAF's pandas Series would read NaN as NULL and drop it;
+        the JVM rejects it first."""
+        df = spark.createDataFrame([(0, 1.0), (0, float("nan"))], "k long, v double")
+        with pytest.raises(Exception, match=r"column 'v' holds NaN"):
+            df.groupBy("k").agg(repro_sum_udf(L=2)(F.col("v"))).collect()
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_guard_rail_checks_the_group_window(self, spark, parts):
+        """A value below the lower guard rail is legal when its group's
+        merged window is in range, whether or not it shares a partition
+        with the larger value."""
+        rows = [(0, 1e-305), (0, 1.0)]
+        df = spark.createDataFrame(spark.sparkContext.parallelize(rows, parts),
+                                   "k long, v double")
+        assert rsum_groupby(df, "k", "v", L=2).collect() == [(0, 1.0)]
+
+    @pytest.mark.parametrize("dtype, tiny", [("float64", 1e-305), ("float32", 1e-40)])
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_group_of_tiny_values_raises_naming_column(self, spark, dtype, tiny, parts):
+        rows = [(0, 1.0, tiny), (0, 2.0, -tiny / 3), (1, 1.0, 1.0)]
+        df = spark.createDataFrame(spark.sparkContext.parallelize(rows, parts),
+                                   "k long, a double, b double")
+        with pytest.raises(Exception, match=r"column 'b' .* outside the supported range"):
+            rsum_groupby(df, "k", ["a", "b"], L=2, dtype=dtype).collect()
 
     def test_empty_input(self, spark):
         df = groupby_pairs(spark, n=10, n_groups=2, seed=12).where(F.lit(False))
