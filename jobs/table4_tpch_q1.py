@@ -2,12 +2,12 @@
 
 The paper integrates repro<double,4> into MonetDB's SUM operator and
 reports CPU time relative to unmodified doubles; here the engine is
-Spark SQL and the operator is ``repro.spark.repro_sum.rsum_groupby``,
-which is one Catalyst plan of JVM expressions. Variants:
+Spark SQL and the operator is ``repro.spark.repro_sum``, a JVM aggregate
+that Spark runs in its own ``HashAggregate``. Variants:
 
 * ``double``            — native Spark sums (non-reproducible baseline);
-* ``repro<d,4>``        — ``rsum_groupby`` at L=4 (a JVM plan, like the
-                          native row);
+* ``repro<d,4>``        — ``repro_sum`` at L=4, in one aggregation of
+                          the native row's shape;
 * ``double (sorted)``   — reproducible-by-sorting baseline;
 * ``double (pandas)``   — plain double sums through a mapInPandas
                           operator: the cost of the Python/JVM boundary.

@@ -6,8 +6,8 @@ aggregation-heaviest query. Here the host engine is Spark SQL and the
 four variants are:
 
 * ``q1_native``      — built-in double sums (Spark's hash aggregate);
-* ``q1_repro``       — reproducible sums via :func:`rsum_groupby`, one
-                       JVM plan;
+* ``q1_repro``       — reproducible sums via :func:`repro_sum`, in one
+                       aggregation of the same shape as ``q1_native``;
 * ``q1_sorted``      — reproducible-by-sorting baseline;
 * ``q1_scan_other``  — the query minus aggregation (scan + filter +
                        projection), used to split total time into
@@ -23,7 +23,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from .. import synth_data
-from .repro_sum import pandas_sum_groupby, rsum_groupby
+from .repro_sum import pandas_sum_groupby, repro_sum
 from .sorted_agg import sorted_sum_groupby
 
 __all__ = [
@@ -77,7 +77,11 @@ def _with_count(agg: DataFrame, proj: DataFrame, suffix: str) -> DataFrame:
     derive the AVG columns from the reproducible sums — in SQL every
     aggregate reduces to SUM and COUNT (paper Section I)."""
     counts = proj.groupBy(*Q1_KEYS).agg(F.count(F.lit(1)).alias("count_order"))
-    out = agg.join(counts, on=Q1_KEYS)
+    return _with_avgs(agg.join(counts, on=Q1_KEYS), suffix)
+
+
+def _with_avgs(out: DataFrame, suffix: str) -> DataFrame:
+    """The AVG columns, as the sums over ``count_order``."""
     for c in ("sum_qty", "sum_base_price"):
         out = out.withColumn(
             c.replace("sum", "avg"), F.col(c + suffix) / F.col("count_order")
@@ -105,10 +109,15 @@ def q1_pandas_double(lineitem: DataFrame) -> DataFrame:
 
 
 def q1_repro(lineitem: DataFrame, *, L: int = 4) -> DataFrame:
-    """Q1 with reproducible sums (repro<double,L>, Table IV uses L=4)."""
-    proj = q1_projected(lineitem)
-    agg = rsum_groupby(proj, Q1_KEYS, Q1_SUMS, L=L)
-    return _with_count(agg, proj, "_rsum")
+    """Q1 with reproducible sums (repro<double,L>, Table IV uses L=4).
+
+    One aggregation, as ``q1_native``: the four :func:`repro_sum`
+    columns and the count, with the AVG columns derived from them."""
+    agg = q1_projected(lineitem).groupBy(*Q1_KEYS).agg(
+        *[repro_sum(c, L=L).alias(c + "_rsum") for c in Q1_SUMS],
+        F.count(F.lit(1)).alias("count_order"),
+    )
+    return _with_avgs(agg, "_rsum")
 
 
 def q1_sorted(lineitem: DataFrame) -> DataFrame:

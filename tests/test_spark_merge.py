@@ -1,5 +1,5 @@
-"""The SQL merge of ``rsum_groupby``: exactness, float32, plan shape and
-three-way agreement with the local accumulator and Algorithm 2."""
+"""The JVM aggregate behind ``rsum_groupby``: exact merge, float32, plan
+shape and three-way agreement with the local accumulator and Algorithm 2."""
 import math
 import re
 
@@ -8,10 +8,14 @@ import pandas as pd
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from pyspark.sql import functions as F
 
 from repro.core import EMPTY_E, GroupedBinnedAcc, RsumScalar, finalize_state, fmt_for
-from repro.spark import rsum_groupby
-from repro.spark.repro_sum import _merge_states
+from repro.spark import _jar, rsum_groupby
+
+
+#: ``ReproSum.NONE``, the window of a state that has seen no value
+_NONE = np.iinfo(np.int64).min + 1
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -78,29 +82,68 @@ def _exact_merge(fmt, L: int, keys, e, h, lo) -> np.ndarray:
     return np.array(out, fmt.dtype)
 
 
+def _jvm_states(spark, states: np.ndarray):
+    """``states`` (rows of ``1 + 2L`` int64) as one Java ``long[]``."""
+    jvm, gw = spark.sparkContext._jvm, spark.sparkContext._gateway
+    out = gw.new_array(jvm.long, states.size)
+    jvm.java.nio.ByteBuffer.wrap(bytearray(states.astype(">i8").tobytes())) \
+        .asLongBuffer().get(out)
+    return out
+
+
+def _jvm_merge(spark, fmt, L: int, keys, e, h, lo) -> np.ndarray:
+    """Per group, its rows merged by ``ReproSum.mergeStates`` into an
+    initial state and finalized by ``ReproSum.finish``."""
+    udaf = _jar.udaf(spark, "v", fmt, L)
+    rows = np.column_stack([e, h, lo])
+    out = []
+    for g in np.unique(keys):
+        acc = _jvm_states(spark, np.r_[_NONE, np.zeros(2 * L, np.int64)])
+        udaf.mergeStates(acc, _jvm_states(spark, rows[keys == g]))
+        out.append(udaf.finish(acc))
+    return np.array(out, fmt.dtype)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("ansi", ["true", "false"])
 def test_sql_merge_exact_beyond_long_headroom(spark, dtype, ansi):
-    """20 000 per-bin rows for one group whose recombined halves need
-    more than 64 bits (a long would raise under ANSI, wrap without):
-    the SQL merge stays bit-equal to an exact Python-integer merge in
-    either mode."""
+    """20 000 per-bin states of one group whose recombined halves need
+    more than 64 bits: the JVM merge and finalize stay bit-equal to an
+    exact Python-integer merge. They are Java code, which has no ANSI
+    mode, so the result is the same with either setting."""
     fmt, L = fmt_for(dtype), 3
     keys, e, h, lo = _synthetic_bins(fmt, L, 20_000, seed=5)
-    cols = {"k": keys, "__j": np.zeros(keys.size, np.int32), "__e": e}
-    for lev in range(L):
-        cols.update({f"__h{lev}": h[:, lev], f"__l{lev}": lo[:, lev]})
-    bins = spark.createDataFrame(pd.DataFrame(cols)).repartition(5)
     want = _exact_merge(fmt, L, keys, e, h, lo)
 
     old = spark.conf.get("spark.sql.ansi.enabled")
     spark.conf.set("spark.sql.ansi.enabled", ansi)
     try:
-        got = _sorted_sums(_merge_states(bins, ["k"], ["v"], L=L, fmt=fmt), dtype)
+        got = _jvm_merge(spark, fmt, L, keys, e, h, lo)
     finally:
         spark.conf.set("spark.sql.ansi.enabled", old)
     assert want[2] == 0.0
     assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_merge_past_long_headroom_raises_naming_column(spark):
+    """Two states whose high halves at one level sum past ``2**63``
+    raise, naming the column, instead of wrapping."""
+    fmt, L = fmt_for(np.float64), 2
+    e = np.array([40, 40])
+    h = np.array([[1 << 62, 0], [1 << 62, 0]])
+    lo = np.zeros((2, L), np.int64)
+    with pytest.raises(Exception, match=r"column 'v' .* exceeds the range of a long"):
+        _jvm_merge(spark, fmt, L, np.zeros(2, np.int64), e, h, lo)
+
+
+def test_update_folds_low_half_before_it_wraps(spark):
+    """One buffer receives 5 * 2**22 deposits of ``1.75 * 2**38`` units
+    each, 2**63 units after about 2**24.2 of them: ``update`` folds the
+    low half into the high half before it wraps, and the sum stays
+    exact."""
+    n, x = 5 << 22, 1.75 * 2.0**26
+    df = spark.range(0, n, 1, 1).select(F.lit(0).alias("k"), F.lit(x).alias("v"))
+    assert rsum_groupby(df, "k", "v", L=1).collect() == [(0, x * n)]
 
 
 # --------------------------------------------------------------- float32
@@ -147,11 +190,12 @@ _PY_OPERATOR = re.compile(r"Pandas|Python|Arrow")
 @pytest.mark.parametrize("values", [["a"], ["a", "b"]],
                          ids=["one_column", "two_columns"])
 def test_plan_has_no_python_operator(spark, values):
-    """The executed plan is JVM operators only: deposit, aggregation,
-    merge and finalize all run in Spark SQL, with Spark's own
-    ``HashAggregate``. A Python partial (``MapInPandas``,
-    ``ArrowEvalPython``) or a per-group Python merge
-    (``FlatMapGroupsInPandas``) fails this test."""
+    """The executed plan is JVM operators only: deposit, merge and
+    finalize all run in ``ReproSum`` inside Spark's own ``HashAggregate``
+    (a typed ``Aggregator`` would show ``ObjectHashAggregate``). A Python
+    partial (``MapInPandas``, ``ArrowEvalPython``) or a per-group Python
+    merge (``FlatMapGroupsInPandas``) fails this test. The plan names the
+    aggregate instead of generated ``__q0``/``__u1``/``__h1`` columns."""
     df = spark.createDataFrame(
         pd.DataFrame({"k": np.arange(200) % 7, "a": np.arange(200.0),
                       "b": np.ones(200)}))
@@ -166,6 +210,7 @@ def test_plan_has_no_python_operator(spark, values):
     assert [op for op in ops if _PY_OPERATOR.search(op)] == []
     for op in ("MapInPandas", "ArrowEvalPython", "FlatMapGroupsInPandas"):
         assert op not in plan
+    assert "partial_reprosum(" in plan and not re.search(r"__[a-z]\d", plan)
 
 
 # ----------------------------------------------------------- level limit

@@ -1,4 +1,5 @@
-"""The Spark reproducible GROUPBY: bit-stability, oracle equivalence, UDAF."""
+"""The Spark reproducible GROUPBY: bit-stability, oracle equivalence, and
+``repro_sum`` as an aggregate Column."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -6,7 +7,7 @@ from pyspark.sql import functions as F
 
 from repro.core import GroupedBinnedAcc
 from repro.oracle import assert_equivalent
-from repro.spark import repro_sum_udf, rsum_groupby
+from repro.spark import repro_sum, rsum_groupby
 from repro.synth_data import groupby_pairs, np_groupby_input
 
 
@@ -94,7 +95,7 @@ class TestOracleEquivalence:
 
     def test_udaf_against_duckdb(self, spark):
         df = groupby_pairs(spark, n=20_000, n_groups=25, dist="uniform12", seed=8)
-        got = df.groupBy("k").agg(repro_sum_udf(L=2)(F.col("v")).alias("s"))
+        got = df.groupBy("k").agg(repro_sum(F.col("v"), L=2).alias("s"))
         assert_equivalent(got, "SELECT k, sum(v) AS s FROM t GROUP BY k", t=df)
 
 
@@ -102,7 +103,7 @@ class TestUdaf:
     def test_udaf_matches_two_phase_bits(self, spark):
         df = groupby_pairs(spark, n=25_000, n_groups=40, dist="mixed", seed=9)
         a = (
-            df.groupBy("k").agg(repro_sum_udf(L=3)(F.col("v")).alias("s"))
+            df.groupBy("k").agg(repro_sum(F.col("v"), L=3).alias("s"))
             .toPandas().sort_values("k")
         )
         b = rsum_groupby(df, "k", "v", L=3).toPandas().sort_values("k")
@@ -110,10 +111,10 @@ class TestUdaf:
 
     def test_udaf_repartition_stable(self, spark):
         df = groupby_pairs(spark, n=20_000, n_groups=8, dist="mixed", seed=10)
-        f = repro_sum_udf(L=2)
-        a = df.groupBy("k").agg(f(F.col("v")).alias("s")).toPandas().sort_values("k")
+        a = (df.groupBy("k").agg(repro_sum(F.col("v"), L=2).alias("s"))
+             .toPandas().sort_values("k"))
         b = (
-            df.repartition(11).groupBy("k").agg(f(F.col("v")).alias("s"))
+            df.repartition(11).groupBy("k").agg(repro_sum(F.col("v"), L=2).alias("s"))
             .toPandas().sort_values("k")
         )
         assert np.array_equal(_bits(a["s"].to_numpy()), _bits(b["s"].to_numpy()))
@@ -156,7 +157,7 @@ class TestSemantics:
             [(0, 1.0), (0, None), (1, None), (1, None), (2, 0.0), (2, None)],
             "k long, v double",
         )
-        got = df.groupBy("k").agg(repro_sum_udf(L=2)(F.col("v")).alias("s"))
+        got = df.groupBy("k").agg(repro_sum(F.col("v"), L=2).alias("s"))
         assert sorted(got.collect()) == [(0, 1.0), (1, None), (2, 0.0)]
 
     def test_nan_raises_naming_column(self, spark):
@@ -171,11 +172,10 @@ class TestSemantics:
         assert rsum_groupby(df.where("k = 0"), "k", ["a", "b"], L=2).count() == 0
 
     def test_udaf_nan_raises_naming_column(self, spark):
-        """The UDAF's pandas Series would read NaN as NULL and drop it;
-        the JVM rejects it first."""
+        """``repro_sum`` alone rejects NaN too, naming the column."""
         df = spark.createDataFrame([(0, 1.0), (0, float("nan"))], "k long, v double")
         with pytest.raises(Exception, match=r"column 'v' holds NaN"):
-            df.groupBy("k").agg(repro_sum_udf(L=2)(F.col("v"))).collect()
+            df.groupBy("k").agg(repro_sum(F.col("v"), L=2)).collect()
 
     @pytest.mark.parametrize("parts", [1, 2])
     def test_guard_rail_checks_the_group_window(self, spark, parts):
