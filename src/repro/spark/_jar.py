@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pyspark
 from py4j.protocol import Py4JJavaError
+from pyspark.find_spark_home import _find_spark_home
 
 from ..core.params import FloatFormat
 
@@ -49,10 +50,12 @@ def _run(cmd: list[str], what: str) -> bytes:
 
 
 def _classpath() -> str:
-    jars = sorted((Path(pyspark.__file__).parent / "jars").glob("*.jar"))
-    deps = [str(j) for j in jars if j.name.startswith(_DEPS)]
+    """The jars of the Spark that PySpark launches (``SPARK_HOME`` if set)."""
+    home = Path(_find_spark_home())
+    deps = [str(j) for j in sorted((home / "jars").glob("*.jar"))
+            if j.name.startswith(_DEPS)]
     if len(deps) != len(_DEPS):
-        raise RuntimeError(f"PySpark's jars directory lacks one of {_DEPS}: {deps}")
+        raise RuntimeError(f"{home / 'jars'} lacks one of {_DEPS}: {deps}")
     return os.pathsep.join(deps)
 
 
