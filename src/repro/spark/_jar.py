@@ -100,7 +100,9 @@ def udaf(spark, column: str, fmt: FloatFormat, L: int):
     loader = spark._jsparkSession.sharedState().jarClassLoader()
     try:
         cls = loader.loadClass(_CLASS)
-    except Py4JJavaError:
+    except Py4JJavaError as exc:
+        if exc.java_exception.getClass().getName() != "java.lang.ClassNotFoundException":
+            raise
         path = str(_jar()).replace("\\", "\\\\").replace("'", "\\'")
         spark.sql(f"ADD JAR '{path}'")
         cls = loader.loadClass(_CLASS)
