@@ -3,7 +3,7 @@
 The Java source is compiled on first use with ``javac`` into a jar named
 by the hash of the source, ``javac -version`` and the PySpark version,
 under this package's ``__pycache__``; later loads, in any process, reuse
-it. The jar is written to a temporary file that is then renamed into
+it. The jar is built in a temporary directory and then renamed into
 place, so processes that build it at the same time never see a
 half-written file. A session adds the jar once, with ``ADD JAR``, and
 loads the class from its own jar class loader; no Spark conf is set. A
@@ -31,7 +31,7 @@ from ..core.params import FloatFormat
 _SRC = Path(__file__).with_name("ReproSum.java")
 _CACHE = Path(__file__).with_name("__pycache__")
 _CLASS = "repro.spark.ReproSum"
-#: the PySpark jars the class compiles against, by name prefix
+#: the Spark jars the class compiles against, by name prefix
 _DEPS = ("spark-sql_", "spark-sql-api_", "spark-catalyst_", "spark-core_",
          "scala-library-", "scala-reflect-")
 _JAVAC = ("javac", "--release", "17", "-encoding", "UTF-8")
