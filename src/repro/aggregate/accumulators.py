@@ -10,9 +10,10 @@ Every backend exposes the same dense-table interface used by
 HASHAGGREGATION / PARTITIONANDAGGREGATE:
 
 * ``update(idx, vals)`` — scatter a batch of values into table rows;
-* ``merge_from(other, base)`` — fold a private table into a shared one,
-  placing other's row ``i`` at ``base + i * stride`` (the transfer phase
-  of Algorithm 4);
+* ``merge_from(other, base, stride=1)`` — fold a private table into a
+  shared one, placing other's row ``i`` at ``base + i * stride`` (the
+  transfer phase of Algorithm 4, which uses one contiguous slice per
+  partition; ``repro_buffered`` has no private tables);
 * ``finalize()`` — per-row sums as float64 for comparison;
 * ``result_bits()`` — a canonical byte-level representation used by the
   reproducibility tests (bit-pattern equality, not approximate).
@@ -150,7 +151,7 @@ class ReproAcc:
         self.acc.adopt_strided(other.acc, base, stride)
 
     def finalize(self) -> np.ndarray:
-        return self.acc.finalize()[:, 0].astype(np.float64)
+        return self.acc.finalize()[:, 0].astype(np.float64, copy=False)
 
     def result_bits(self) -> bytes:
         keys, e, d, c = self.acc.export_states()
@@ -163,9 +164,13 @@ class BufferedReproAcc(ReproAcc):
     Performance realisation in this substrate: the processing batch
     plays the role of the per-group summation buffer, and each batch is
     one call of the compiled deposit loop (``GroupedBinnedAcc``'s fast
-    path), which amortises the per-call costs as a full buffer does. The
-    literal array-per-group layout of Figure 5 is not built: the kernel
-    gives the same bits without it (see DESIGN.md §5).
+    path, at most 2**22 rows per call), which amortises the per-call
+    costs as a full buffer does. The literal array-per-group layout of
+    Figure 5 is not built: the kernel gives the same bits without it
+    (see DESIGN.md §5). ``partition_and_aggregate`` deposits the whole,
+    partition-ordered input into one shared table of this type, so it
+    has no private tables and no transfer phase; ``finalize`` rounds in
+    the same compiled library.
     """
 
     kind = "repro_buffered"

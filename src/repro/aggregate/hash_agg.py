@@ -30,12 +30,17 @@ def hash_aggregate(
 
     ``kind`` selects the intermediate-aggregate data type (see
     ``accumulators.make_acc``). The returned accumulator exposes
-    ``finalize()`` (float64 sums) and ``result_bits()``.
+    ``finalize()`` (float64 sums) and ``result_bits()``. A key outside
+    ``[0, n_groups)`` raises ``IndexError``.
     """
     keys = np.asarray(keys, np.int64)
     values = np.asarray(values)
     if keys.shape != values.shape:
         raise ValueError("keys and values must have the same length")
+    # one pass: a negative key is a huge unsigned one
+    if keys.size and keys.view(np.uint64).max() >= np.uint64(n_groups):
+        bad = keys[(keys < 0) | (keys >= n_groups)][0]
+        raise IndexError(f"key {bad} out of range for {n_groups} groups")
     acc = make_acc(kind, n_groups, **acc_kw)
     for i in range(0, keys.size, batch):
         acc.update(keys[i : i + batch], values[i : i + batch])

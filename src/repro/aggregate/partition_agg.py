@@ -1,23 +1,29 @@
 """PARTITIONANDAGGREGATE (paper Algorithm 4).
 
-1. Radix-partition the input on the key's low bits with fan-out
-   ``F = f**d`` (``f = 256``; identity hashing on dense keys, so the
-   partition id is ``key mod F`` and the partition-local key is
-   ``key div F``).
-2. HASHAGGREGATION of each partition into a private table (any
-   accumulator backend, in particular repro types with summation
-   buffers).
-3. Transfer the private tables into one shared table; for repro types
-   the shared table holds plain (unbuffered) ``repro<ScalarT,L>``
-   states merged with ``operator+=(repro)`` — Algorithm 4 lines 4–6.
+1. Radix-partition the input on the key's *high* digit with fan-out
+   ``F = f**d`` (``f = 256``; identity hashing on dense keys): the
+   partition id is ``key >> s`` and the partition-local key is
+   ``key & (2**s - 1)``, with ``2**s`` the smallest power of two such
+   that ``F * 2**s >= n_groups``. Partition ``p`` thus owns the
+   contiguous slice ``[p << s, (p + 1) << s)`` of the shared table.
+2. Aggregate each partition:
+
+   * ``repro_buffered``: one deposit of the whole partition-ordered
+     input into the shared table. The compiled kernel walks the input in
+     order, so each of its passes works on one partition's slice — a
+     cache-sized table — at a time. There are no private tables and no
+     transfer phase: a partition's slice is its private table.
+   * every other kind: HASHAGGREGATION of each partition into a private
+     table of ``2**s`` rows, transferred into its slice of the shared
+     table (Algorithm 4 lines 4–6; for ``repro`` the states are copied,
+     since partitions hold disjoint groups).
 
 The partitioning substrate is a compiled stable counting sort
 (``core/_kernels.c``) — the single-pass software-managed radix partition
-of [9, 31, 33] (see DESIGN.md §5).
+of [9, 31, 33] (see DESIGN.md §5). Its histogram pass rejects a key
+outside ``[0, n_groups)`` with ``IndexError``.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -37,8 +43,6 @@ def parallel_partition(keys: np.ndarray, values: np.ndarray, F: int):
     partition (stable within a partition, like the paper's partitioning
     routine which concatenates per-thread sub-partitions).
     """
-    if F < 1 or F & (F - 1):
-        raise ValueError("fan-out must be a power of two")
     return _kernels.partition(keys, values, F)
 
 
@@ -57,7 +61,9 @@ def partition_and_aggregate(
 
     ``d`` (levels of partitioning) defaults to the offline thresholds of
     ``tuning.choose_depth``. The shared table's accumulator backend is
-    the unbuffered variant of ``kind``.
+    ``kind``. ``batch`` is the batch size of ``hash_aggregate``;
+    ``repro_buffered`` deposits in calls of up to 2**22 rows instead. A
+    key outside ``[0, n_groups)`` raises ``IndexError``.
     """
     keys = np.asarray(keys, np.int64)
     values = np.asarray(values)
@@ -71,26 +77,37 @@ def partition_and_aggregate(
     # the effect Algorithm 4 exists for — is preserved without the
     # dispatch artefact. Results are bit-identical for any F (tested).
     F = min(f**d, 1 << 12)
-    shared_kind = "repro" if kind.startswith("repro") else kind
-    shared = make_acc(shared_kind, n_groups, **acc_kw)
 
-    if F == 1:  # PARALLELPARTITION is a no-op that forwards its input
-        acc = hash_aggregate(
-            keys, values, n_groups, kind=kind, batch=batch, **acc_kw
-        )
-        shared.merge_from(acc, 0, 1)
+    if kind == "repro_buffered":
+        shared = make_acc(kind, n_groups, **acc_kw)
+        if F > 1:
+            _, keys, values, _ = _partition_high(keys, values, n_groups, F)
+        shared.update(keys, values)
         return shared
 
-    pk, pv, bounds = parallel_partition(keys, values, F)
-    n_local = math.ceil(n_groups / F)
-    shift = F.bit_length() - 1  # local key = key div F (dense identity hash)
+    if F == 1:  # PARALLELPARTITION is a no-op that forwards its input
+        return hash_aggregate(keys, values, n_groups, kind=kind, batch=batch,
+                              **acc_kw)
+
+    shared = make_acc(kind, n_groups, **acc_kw)
+    shift, pk, pv, bounds = _partition_high(keys, values, n_groups, F)
     for p in range(F):
         lo, hi = bounds[p], bounds[p + 1]
         if lo == hi:
             continue
         local = hash_aggregate(
-            pk[lo:hi] >> shift, pv[lo:hi], n_local,
+            pk[lo:hi] & ((1 << shift) - 1), pv[lo:hi], 1 << shift,
             kind=kind, batch=batch, **acc_kw,
         )
-        shared.merge_from(local, p, F)
+        shared.merge_from(local, p << shift, 1)
     return shared
+
+
+def _partition_high(keys, values, n_groups: int, F: int):
+    """Partition on the key's high digit ``key >> s``, checking the keys.
+
+    ``2**s`` is the smallest power of two with ``F * 2**s >= n_groups``.
+    Returns ``(s, keys_part, values_part, bounds)``.
+    """
+    s = max(0, (n_groups - 1).bit_length() - (F.bit_length() - 1))
+    return (s, *_kernels.partition(keys, values, F, s, n_groups))

@@ -1,6 +1,6 @@
-/* Compiled kernels of the buffered reproducible deposit and of the radix
- * partition. `_kernels.py` builds this file on first use and calls it
- * through ctypes.
+/* Compiled kernels of the buffered reproducible deposit, of its
+ * renormalise-and-round finalize, and of the radix partition. `_kernels.py`
+ * builds this file on first use and calls it through ctypes.
  *
  * Build flags matter for correctness: -ffp-contract=off and no
  * -ffast-math keep every floating-point operation below rounded once, in
@@ -13,7 +13,7 @@
 
 #define EMPTY_E INT64_MIN
 
-/* Return codes of the deposit kernels; `*bad` says where. */
+/* Return codes of the deposit and finalize kernels; `*bad` says where. */
 enum { DEP_OK = 0, DEP_NONFINITE = 1, DEP_RANGE = 2, DEP_SLOT = 3 };
 
 /* frexp exponent of a zero value, and of NaN/Inf. */
@@ -27,13 +27,24 @@ static inline int64_t floor_div(int64_t a, int64_t b)
     return (a % b != 0 && a < 0) ? q - 1 : q;
 }
 
-/* 2**k as a double, for -1022 <= k <= 1023. */
+/* 2**k exactly, for -1074 <= k <= 1023 (subnormal below -1022). */
 static inline double pow2(int64_t k)
 {
-    uint64_t b = (uint64_t)(k + 1023) << 52;
+    uint64_t b = k >= -1022 ? (uint64_t)(k + 1023) << 52
+                            : UINT64_C(1) << (k + 1074);
     double d;
     memcpy(&d, &b, sizeof d);
     return d;
+}
+
+/* 2**k exactly as a float, for -149 <= k <= 127. */
+static inline float pow2f(int64_t k)
+{
+    uint32_t b = k >= -126 ? (uint32_t)(k + 127) << 23
+                           : UINT32_C(1) << (k + 149);
+    float f;
+    memcpy(&f, &b, sizeof f);
+    return f;
 }
 
 /* x * 2**k as an int64, exactly, for x an integer multiple of 2**-k:
@@ -116,22 +127,24 @@ static inline void shift_levels(int64_t *x, int64_t ns, int64_t L, int64_t s,
  *    window to it, shifting dev/C as GroupedBinnedAcc._raise_windows
  *    does. A value needs a raise iff efr + m - W + 1 > e_top (EMPTY_E is
  *    the smallest int64), so steady-state values skip the division.
- *    The upper guard rail is checked per raise; a window set from empty
- *    below the lower rail may still be raised by a later value, so the
- *    lower rail is checked on the final windows.
+ *    The upper guard rail is checked per raise. The lower one is not: a
+ *    later value may still raise the window above it, so it is checked
+ *    on the final windows, by finalize and export_states.
  * 2. per value, per level l: q = (r + M_l) - M_l in the format's
  *    arithmetic, units = q * 2**(m - e + l*W) exactly in double, r -= q.
+ *    Levels below e_min are skipped: their extractor would not be a
+ *    normal number, and any raise that makes the window legal shifts
+ *    them out, so they cannot reach a result bit.
  *
  * Returns DEP_OK, or an error code with *bad the offending value index
  * (DEP_NONFINITE, DEP_SLOT) or window exponent (DEP_RANGE). Deposits
- * happen only after both checks passed; windows may already be raised.
+ * happen only after the checks passed; windows may already be raised.
  */
 #define DEFINE_DEPOSIT(NAME, T, EFR, EXTRACTOR, M)                            \
     int NAME(int64_t n, const T *v, const int64_t *slots, int64_t ns,         \
              int64_t L, int64_t W, int64_t e_max, int64_t e_min,              \
              int64_t *e_top, int64_t *dev, int64_t *C, int64_t *bad)          \
     {                                                                         \
-        int low = 0;                                                          \
         for (int64_t i = 0; i < n; i++) {                                     \
             int64_t s = slots[i], efr = EFR(v[i]);                            \
             if ((uint64_t)s >= (uint64_t)ns) {                                \
@@ -152,27 +165,18 @@ static inline void shift_levels(int64_t *x, int64_t ns, int64_t L, int64_t s,
                 *bad = e;                                                     \
                 return DEP_RANGE;                                             \
             }                                                                 \
-            if (cur == EMPTY_E) {                                             \
-                low |= e - (L - 1) * W < e_min;                               \
-            } else {                                                          \
+            if (cur != EMPTY_E) {                                             \
                 shift_levels(dev, ns, L, s, (e - cur) / W);                   \
                 shift_levels(C, ns, L, s, (e - cur) / W);                     \
             }                                                                 \
             e_top[s] = e;                                                     \
-        }                                                                     \
-        for (int64_t i = 0; low && i < n; i++) {                              \
-            int64_t e = e_top[slots[i]];                                      \
-            if (v[i] != 0 && e - (L - 1) * W < e_min) {                       \
-                *bad = e;                                                     \
-                return DEP_RANGE;                                             \
-            }                                                                 \
         }                                                                     \
         for (int64_t i = 0; i < n; i++) {                                     \
             T r = v[i];                                                       \
             if (r == 0)                                                       \
                 continue;                                                     \
             int64_t s = slots[i], e = e_top[s];                               \
-            for (int64_t l = 0; l < L; l++) {                                 \
+            for (int64_t l = 0; l < L && e - l * W >= e_min; l++) {           \
                 int64_t el = e - l * W, k = (M) - el;                         \
                 T M_l = EXTRACTOR(el);                                        \
                 T q = (r + M_l) - M_l;                                        \
@@ -187,24 +191,78 @@ DEFINE_DEPOSIT(repro_deposit_f64, double, efr_f64, extractor_f64, 52)
 DEFINE_DEPOSIT(repro_deposit_f32, float, efr_f32, extractor_f32, 23)
 
 /*
- * Stable counting sort of n rows on key & (F - 1), F a power of two.
- * Row i is keys[i] plus row_bytes bytes at vals + i * row_bytes; rows go
- * to okeys/ovals grouped by partition, in input order within one.
- * bounds (F + 1 entries) receives the partition starts and n.
+ * Renormalise one value column's state in place and round every slot to
+ * the format, out[s * stride]; one pass, bit for bit finalize_state after
+ * renorm (binned.py).
+ *
+ * Renormalisation moves whole multiples of 2**(m-2) units from dev into
+ * C (floor division, so negative deviations work too). The sum is taken
+ * in the format's arithmetic from the lowest level up:
+ * Q += C_l * 2**(e_l - 2) + dev_l * 2**(e_l - m). Inside the rails every
+ * such power of two is a float of the format, so each product rounds
+ * once, as np.ldexp does. EMPTY slots round to 0.
+ * A live window outside [e_min + (L-1)*W, e_max] returns DEP_RANGE with
+ * *bad the window; slots before it are already renormalised and rounded.
  */
-void repro_partition(int64_t n, const int64_t *keys, const char *vals,
-                     int64_t row_bytes, int64_t F, int64_t *okeys,
-                     char *ovals, int64_t *bounds)
+#define DEFINE_FINALIZE(NAME, T, POW2, M)                                     \
+    int NAME(int64_t ns, int64_t L, int64_t W, int64_t e_max, int64_t e_min, \
+             const int64_t *e_top, int64_t *dev, int64_t *C, T *out,          \
+             int64_t stride, int64_t *bad)                                    \
+    {                                                                         \
+        for (int64_t s = 0; s < ns; s++) {                                    \
+            for (int64_t l = 0; l < L; l++) {                                 \
+                int64_t carry = dev[l * ns + s] >> ((M) - 2); /* floor */     \
+                C[l * ns + s] += carry;                                       \
+                dev[l * ns + s] -= carry * ((int64_t)1 << ((M) - 2));         \
+            }                                                                 \
+            int64_t e = e_top[s];                                             \
+            T q = 0;                                                          \
+            if (e != EMPTY_E) {                                               \
+                if (e > e_max || e - (L - 1) * W < e_min) {                   \
+                    *bad = e;                                                 \
+                    return DEP_RANGE;                                         \
+                }                                                             \
+                for (int64_t l = L - 1; l >= 0; l--) {                        \
+                    int64_t el = e - l * W;                                   \
+                    T term = (T)C[l * ns + s] * POW2(el - 2)                  \
+                             + (T)dev[l * ns + s] * POW2(el - (M));           \
+                    q = q + term;                                             \
+                }                                                             \
+            }                                                                 \
+            out[s * stride] = q;                                              \
+        }                                                                     \
+        return DEP_OK;                                                        \
+    }
+
+DEFINE_FINALIZE(repro_finalize_f64, double, pow2, 52)
+DEFINE_FINALIZE(repro_finalize_f32, float, pow2f, 23)
+
+/*
+ * Stable counting sort of n rows on (key >> shift) & (F - 1), F a power
+ * of two. Row i is keys[i] plus row_bytes bytes at vals + i * row_bytes;
+ * rows go to okeys/ovals grouped by partition, in input order within
+ * one. bounds (F + 1 entries) receives the partition starts and n.
+ * With limit >= 0 every key must lie in [0, limit): the histogram pass
+ * returns the index of the first key that does not, before any row
+ * moves. Returns -1 otherwise.
+ */
+int64_t repro_partition(int64_t n, const int64_t *keys, const char *vals,
+                        int64_t row_bytes, int64_t F, int64_t shift,
+                        int64_t limit, int64_t *okeys, char *ovals,
+                        int64_t *bounds)
 {
     uint64_t mask = (uint64_t)F - 1;
     memset(bounds, 0, (size_t)(F + 1) * sizeof *bounds);
-    for (int64_t i = 0; i < n; i++)
-        bounds[((uint64_t)keys[i] & mask) + 1]++;
+    for (int64_t i = 0; i < n; i++) {
+        if (limit >= 0 && (uint64_t)keys[i] >= (uint64_t)limit)
+            return i;
+        bounds[(((uint64_t)keys[i] >> shift) & mask) + 1]++;
+    }
     for (int64_t p = 1; p <= F; p++)
         bounds[p] += bounds[p - 1];
     /* bounds[p] is partition p's write cursor: it ends at p + 1's start */
     for (int64_t i = 0; i < n; i++) {
-        int64_t d = bounds[(uint64_t)keys[i] & mask]++;
+        int64_t d = bounds[((uint64_t)keys[i] >> shift) & mask]++;
         okeys[d] = keys[i];
         if (row_bytes == 8)
             memcpy(ovals + d * 8, vals + i * 8, 8);
@@ -216,4 +274,5 @@ void repro_partition(int64_t n, const int64_t *keys, const char *vals,
     }
     memmove(bounds + 1, bounds, (size_t)F * sizeof *bounds);
     bounds[0] = 0;
+    return -1;
 }

@@ -1,4 +1,4 @@
-"""Compiled deposit and partition kernels (``_kernels.c``) through ctypes.
+"""Compiled deposit, finalize and partition kernels (``_kernels.c``) through ctypes.
 
 The C source is compiled on first use with ``cc`` into a shared object
 named by the hash of the source and the flags, under this package's
@@ -6,8 +6,8 @@ named by the hash of the source and the flags, under this package's
 writes to a temporary file that is then renamed into place, so Spark's
 Python workers that load the kernels at the same time never see a
 half-written file. A C compiler on ``PATH`` is therefore a requirement
-of the buffered deposit and of ``parallel_partition``; there is no
-fallback.
+of the buffered deposit, of ``GroupedBinnedAcc.finalize`` and of the
+radix partition; there is no fallback.
 """
 from __future__ import annotations
 
@@ -68,8 +68,12 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         f = getattr(lib, name)
         f.argtypes = [i64, ptr, ptr, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr]
         f.restype = ctypes.c_int
-    lib.repro_partition.argtypes = [i64, ptr, ptr, i64, i64, ptr, ptr, ptr]
-    lib.repro_partition.restype = None
+    for name in ("repro_finalize_f64", "repro_finalize_f32"):
+        f = getattr(lib, name)
+        f.argtypes = [i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, i64, ptr]
+        f.restype = ctypes.c_int
+    lib.repro_partition.argtypes = [i64, ptr, ptr, i64, i64, i64, i64, ptr, ptr, ptr]
+    lib.repro_partition.restype = i64
     return lib
 
 
@@ -118,12 +122,41 @@ def deposit(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
         raise IndexError(f"slot {slots[bad.value]} out of range for {ns} slots")
 
 
-def partition(keys: np.ndarray, values: np.ndarray, F: int):
-    """Stable counting sort of ``(keys, values)`` rows on ``key & (F-1)``.
+def finalize(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
+             C: np.ndarray, out: np.ndarray) -> None:
+    """Renormalise one column's state in place and round it into ``out``.
+
+    ``out (n_slots,)`` in the format's dtype, any stride; bit for bit
+    ``finalize_state`` after ``renorm``. Raises ``ValueError`` for a live
+    window outside the format's range.
+    """
+    ns = e_top.shape[0]
+    _check_state(e_top, (ns,))
+    _check_state(dev, (L, ns))
+    _check_state(C, (L, ns))
+    if out.dtype != fmt.dtype or out.shape != (ns,):
+        raise ValueError(f"out must be {fmt.dtype.name} of shape ({ns},)")
+    kernel = _lib().repro_finalize_f64 if fmt.dtype == np.float64 \
+        else _lib().repro_finalize_f32
+    bad = ctypes.c_int64(0)
+    rc = kernel(ns, L, fmt.W, fmt.e_top_max, fmt.e_bot_min, e_top.ctypes.data,
+                dev.ctypes.data, C.ctypes.data, out.ctypes.data,
+                out.strides[0] // out.itemsize, ctypes.byref(bad))
+    if rc == _DEP_RANGE:
+        fmt.check_window(np.array([bad.value]), L)  # raises with the range
+        raise RuntimeError(f"finalize kernel rejected window {bad.value}")
+
+
+def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
+              n_keys: int | None = None):
+    """Stable counting sort of ``(keys, values)`` rows on ``(key >> shift) & (F-1)``.
 
     Returns ``(keys_part, values_part, bounds)``; see
-    ``repro.aggregate.partition_agg.parallel_partition``.
+    ``repro.aggregate.partition_agg.parallel_partition``. With ``n_keys``,
+    a key outside ``[0, n_keys)`` raises ``IndexError`` before any row moves.
     """
+    if F < 1 or F & (F - 1):
+        raise ValueError("fan-out must be a power of two")
     keys = np.ascontiguousarray(keys, np.int64)
     values = np.ascontiguousarray(values)
     if keys.ndim != 1 or values.ndim == 0 or values.shape[0] != keys.size:
@@ -132,7 +165,10 @@ def partition(keys: np.ndarray, values: np.ndarray, F: int):
         raise TypeError("values must be a numeric array, not object dtype")
     out_k, out_v = np.empty_like(keys), np.empty_like(values)
     bounds = np.empty(F + 1, np.int64)
-    _lib().repro_partition(keys.size, keys.ctypes.data, values.ctypes.data,
-                           values.strides[0], F, out_k.ctypes.data,
-                           out_v.ctypes.data, bounds.ctypes.data)
+    bad = _lib().repro_partition(
+        keys.size, keys.ctypes.data, values.ctypes.data, values.strides[0], F,
+        shift, -1 if n_keys is None else n_keys, out_k.ctypes.data,
+        out_v.ctypes.data, bounds.ctypes.data)
+    if bad >= 0:
+        raise IndexError(f"key {keys[bad]} out of range for {n_keys} groups")
     return out_k, out_v, bounds

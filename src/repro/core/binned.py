@@ -268,7 +268,10 @@ class GroupedBinnedAcc:
                     self.C[j][sv:, sel] = self.C[j][: self.L - sv, sel]
                     self.C[j][:sv, sel] = 0
             self.e_top[j, ii] = livereq[need]
-        self.fmt.check_window(self.e_top[j, idx], self.L)
+        # only the upper rail: a later raise may still lift a window above
+        # the lower one, so that is checked on the final windows
+        e = self.e_top[j, idx]
+        self.fmt.check_window(e[e > self.fmt.e_top_max], self.L)
 
     def _prepare_windows(self, j: int, slots: np.ndarray, absvals: np.ndarray):
         """Per-batch extractor-validity check (Algorithm 3 line 4)."""
@@ -294,7 +297,10 @@ class GroupedBinnedAcc:
         ``repro<ScalarT,L>`` type of Section IV (one gather + L generic
         extractions + L scatter-adds per element). Both produce identical
         bits (tested). A batch holding NaN/Inf raises before any state
-        changes.
+        changes. A window above the upper guard rail raises here; one below
+        the lower rail raises only in ``finalize``/``export_states``, since
+        a later value may still raise it, so the split of the input into
+        calls changes no outcome.
         """
         vals = np.asarray(values)
         if vals.ndim == 1:
@@ -390,10 +396,11 @@ class GroupedBinnedAcc:
                       stride: int) -> None:
         """Adopt ``other``'s slots at positions ``base + i*stride``.
 
-        The transfer phase of PARTITIONANDAGGREGATE: partition ``base``'s
-        private table holds *disjoint* groups (global key = local*stride
-        + base), so its states can be copied — no summation needed. Both
-        accumulators must be dense; the target slots must be EMPTY.
+        The transfer phase of PARTITIONANDAGGREGATE for the private tables
+        of ``kind="repro"``: each holds *disjoint* groups (global key =
+        base + local*stride; the operator uses stride 1), so its states
+        can be copied — no summation needed. Both accumulators must be
+        dense; the target slots must be EMPTY.
         """
         if not (self._dense and other._dense):
             raise TypeError("adopt_strided requires dense accumulators")
@@ -419,7 +426,11 @@ class GroupedBinnedAcc:
 
     # ------------------------------------------------------------- export
     def export_states(self, j: int = 0):
-        """(keys, e_top, dev (n,L), C (n,L)) — canonical renormalised bits."""
+        """(keys, e_top, dev (n,L), C (n,L)) — canonical renormalised bits.
+
+        Raises ``ValueError`` if a window lies outside the guard rails.
+        """
+        self.fmt.check_window(self.e_top, self.L)
         self.renorm_all()
         return (
             self.keys(),
@@ -429,11 +440,15 @@ class GroupedBinnedAcc:
         )
 
     def finalize(self) -> np.ndarray:
-        """Per-slot rounded sums, shape (n_slots, ncols) in the format dtype."""
-        self.renorm_all()
+        """Per-slot rounded sums, shape (n_slots, ncols) in the format dtype.
+
+        One pass of the compiled kernel per column renormalises the state
+        and rounds it, bit for bit ``finalize_state``. Raises
+        ``ValueError`` if a window lies outside the guard rails.
+        """
         out = np.empty((self.n_slots, self.ncols), self.fmt.dtype)
         for j in range(self.ncols):
-            out[:, j] = finalize_state(
-                self.fmt, self.L, self.e_top[j], self.dev[j], self.C[j]
-            )
+            _kernels.finalize(self.fmt, self.L, self.e_top[j], self.dev[j],
+                              self.C[j], out[:, j])
+        self._since_renorm = 0
         return out

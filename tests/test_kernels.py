@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core import EMPTY_E, GroupedBinnedAcc, RsumScalar, _kernels, fmt_for
+from repro.core import (EMPTY_E, GroupedBinnedAcc, RsumScalar, _kernels, finalize_state,
+                        fmt_for, renorm)
 
 
 def _min_magnitude(fmt, L: int) -> int:
@@ -164,7 +165,7 @@ def test_kernel_itself_rejects_nonfinite():
 def test_out_of_range_message(dtype, L, x, fast):
     acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=2)
     with pytest.raises(ValueError, match="outside supported range"):
-        acc.update([0, 1], [1.0, x], fast=fast)
+        acc.update([0, 1], [1.0, x], fast=fast).finalize()
 
 
 def test_subnormal_after_its_window_is_set():
@@ -175,9 +176,94 @@ def test_subnormal_after_its_window_is_set():
         assert acc.finalize()[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("calls", [
+    [[1e-305], [1.0]], [[1.0], [1e-305]], [[1e-305, 1.0]], [[1.0, 1e-305]],
+])
+def test_lower_rail_checked_on_final_windows(calls, fast):
+    """A value whose own window is below the lower rail is fine once a
+    later value, in the same call or a later one, raises the window: the
+    order of the calls changes no bit."""
+    ref = GroupedBinnedAcc(L=2, dense_n_groups=1).update([0], [1.0])
+    acc = GroupedBinnedAcc(L=2, dense_n_groups=1)
+    for vals in calls:
+        acc.update(np.zeros(len(vals), np.int64), vals, fast=fast)
+    assert _same_state(acc, ref)
+    assert acc.finalize()[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("x", [1e-305, 5e-324])
+def test_lone_value_below_the_rail_raises_on_its_final_window(x, fast):
+    acc = GroupedBinnedAcc(L=2, dense_n_groups=2).update([0, 1], [1.0, x], fast=fast)
+    with pytest.raises(ValueError, match="outside supported range"):
+        acc.finalize()
+    with pytest.raises(ValueError, match="outside supported range"):
+        acc.export_states()
+
+
 def test_slot_out_of_range_raises():
     with pytest.raises(IndexError):
         GroupedBinnedAcc(L=2, dense_n_groups=3).update([0, 3], [1.0, 2.0])
+
+
+# ------------------------------------------------------------ finalize
+def _crafted_states(dtype, L: int, n: int, seed: int):
+    """Windows anywhere inside the rails, both rails included, EMPTY slots,
+    and deviations/carries of both signs that are not renormalised; a
+    window at the lower rail gives a subnormal result, and one slot rounds
+    up only if the levels are summed from the lowest up."""
+    fmt = fmt_for(dtype)
+    rng = np.random.default_rng(seed)
+    lo = -(-(fmt.e_bot_min + (L - 1) * fmt.W) // fmt.W) * fmt.W
+    hi = fmt.e_top_max // fmt.W * fmt.W
+    e = rng.integers(lo // fmt.W, hi // fmt.W + 1, n) * fmt.W
+    e[rng.random(n) < 0.1] = EMPTY_E
+    e[:4] = [lo, hi, lo, EMPTY_E]
+    dev = rng.integers(-(1 << (fmt.m + 4)), 1 << (fmt.m + 4), (L, n))
+    small = rng.random(n) < 0.3  # a few units: tiny sums, subnormal at lo
+    dev[:, small] = rng.integers(-9, 10, (L, int(small.sum())))
+    C = rng.integers(-(1 << 20), 1 << 20, (L, n))
+    C[:, small] = 0
+    dev[:, 2], C[:, 2] = 0, 0
+    dev[-1, 2] = 1  # one unit of the lowest level at the lower rail
+    if L >= 3:  # level 1 is half an ulp of level 0, level 2 breaks the tie
+        e[4], dev[:, 4], C[:, 4] = hi, 0, 0
+        C[0, 4], dev[1, 4], C[2, 4] = 1, 1 << (fmt.W - 3), 1 << (2 * fmt.W - fmt.m - 8)
+    dev[:, e == EMPTY_E] = C[:, e == EMPTY_E] = 0
+    return fmt, e, dev, C
+
+
+@pytest.mark.parametrize("dtype,Ls", [(np.float32, range(1, 10)),
+                                      (np.float64, range(1, 28))])
+def test_compiled_finalize_matches_finalize_state(dtype, Ls):
+    for L in Ls:
+        fmt, e, dev, C = _crafted_states(dtype, L, 500, L)
+        rdev, rC = dev.copy(), C.copy()
+        renorm(rdev, rC, fmt)
+        want = finalize_state(fmt, L, e, rdev, rC)
+        acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=e.size)
+        acc.e_top[0], acc.dev[0], acc.C[0] = e, dev, C
+        got = acc.finalize()[:, 0]
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(f"u{got.itemsize}"),
+                              want.view(f"u{want.itemsize}")), L
+        assert 0 < got[2] < np.finfo(dtype).tiny  # subnormal
+        _, ee, edev, eC = acc.export_states()
+        assert np.array_equal(ee, e)
+        assert np.array_equal(edev, rdev.T) and np.array_equal(eC, rC.T)
+
+
+def test_compiled_finalize_writes_every_column():
+    rng = np.random.default_rng(1)
+    keys = rng.integers(0, 40, 3000)
+    vals = rng.standard_normal((3000, 3)) * 10.0 ** rng.integers(-8, 9, (3000, 3))
+    acc = GroupedBinnedAcc(L=3, ncols=3, dense_n_groups=41).update(keys, vals)
+    got = acc.finalize()
+    for j in range(3):
+        _, e, dev, C = acc.export_states(j)
+        assert np.array_equal(got[:, j], finalize_state(acc.fmt, 3, e, dev.T, C.T))
+    assert np.all(got[40] == 0)  # an EMPTY slot
 
 
 # -------------------------------------------------------- build tooling
@@ -190,7 +276,7 @@ so = _kernels._artifact(Path(sys.argv[1]))
 lib = _kernels._declare(ctypes.CDLL(str(so)))
 keys = np.arange(10, dtype=np.int64)
 out, vals, bounds = np.empty(10, np.int64), np.empty(10), np.empty(3, np.int64)
-lib.repro_partition(10, keys.ctypes.data, keys.ctypes.data, 8, 2,
+lib.repro_partition(10, keys.ctypes.data, keys.ctypes.data, 8, 2, 0, -1,
                     out.ctypes.data, vals.ctypes.data, bounds.ctypes.data)
 assert bounds.tolist() == [0, 5, 10], bounds
 print(so)

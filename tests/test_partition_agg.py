@@ -110,3 +110,38 @@ def test_non_multiple_group_count():
         acc = partition_and_aggregate(keys, vals, G, kind=kind, d=1, **kw)
         ref = hash_aggregate(keys, vals, G, kind=kind, **kw)
         assert np.allclose(acc.finalize(), ref.finalize(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("key", [1000, -1])
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("kind,kw", [
+    ("builtin", {}), ("decimal", {"p": 19}), ("repro", {"L": 2}),
+    ("repro_buffered", {"L": 2}),
+])
+def test_out_of_range_key_raises(kind, kw, d, key):
+    """A key outside [0, n_groups) is an error at every depth, never a
+    dropped row or a wrapped index."""
+    keys = np.array([0, 5, key], np.int64)
+    vals = np.array([1.0, 2.0, 4.0])
+    with pytest.raises(IndexError, match=str(key)):
+        partition_and_aggregate(keys, vals, 1000, kind=kind, d=d, **kw)
+
+
+@pytest.mark.parametrize("kind", ["builtin", "repro_buffered"])
+def test_operator_rejects_non_power_of_two_fanout(kind):
+    keys, vals = np_groupby_input(1000, 100, seed=2)
+    with pytest.raises(ValueError, match="power of two"):
+        partition_and_aggregate(keys, vals, 100, kind=kind, d=1, f=3)
+
+
+def test_high_digit_routing_owns_contiguous_slices():
+    """At d = 1 partition p holds exactly the keys of [p << s, (p+1) << s),
+    so its groups form one slice of the shared table."""
+    from repro.aggregate.partition_agg import _partition_high
+    keys, vals = np_groupby_input(20000, 1000, seed=3)
+    s, pk, pv, bounds = _partition_high(keys, vals, 1000, 256)
+    assert s == 2
+    for p in range(256):
+        assert np.all(pk[bounds[p]:bounds[p + 1]] >> s == p)
+    order = np.argsort(keys >> s, kind="stable")
+    assert np.array_equal(pk, keys[order]) and np.array_equal(pv, vals[order])
