@@ -12,8 +12,9 @@ HASHAGGREGATION / PARTITIONANDAGGREGATE:
 * ``update(idx, vals)`` — scatter a batch of values into table rows;
 * ``merge_from(other, base, stride=1)`` — fold a private table into a
   shared one, placing other's row ``i`` at ``base + i * stride`` (the
-  transfer phase of Algorithm 4, which uses one contiguous slice per
-  partition; ``repro_buffered`` has no private tables);
+  transfer phase of the paper's Algorithm 4; ``partition_and_aggregate``
+  needs none, since each partition owns a contiguous slice of the
+  shared table and deposits into it directly);
 * ``finalize()`` — per-row sums as float64 for comparison;
 * ``result_bits()`` — a canonical byte-level representation used by the
   reproducibility tests (bit-pattern equality, not approximate).
@@ -146,8 +147,8 @@ class ReproAcc:
         )
 
     def merge_from(self, other: "ReproAcc", base: int, stride: int = 1) -> None:
-        # Algorithm 4's transfer phase: partitions hold disjoint groups,
-        # so private states are adopted into the shared table directly.
+        # a transfer phase over disjoint groups: private states are
+        # adopted into the shared table directly
         self.acc.adopt_strided(other.acc, base, stride)
 
     def finalize(self) -> np.ndarray:
@@ -168,9 +169,9 @@ class BufferedReproAcc(ReproAcc):
     costs as a full buffer does. The literal array-per-group layout of
     Figure 5 is not built: the kernel gives the same bits without it
     (see DESIGN.md §5). ``partition_and_aggregate`` deposits the whole,
-    partition-ordered input into one shared table of this type, so it
-    has no private tables and no transfer phase; ``finalize`` rounds in
-    the same compiled library.
+    partition-ordered input into the shared table in one call (the
+    kernel cuts it at 2**22 rows); ``finalize`` rounds in the same
+    compiled library.
     """
 
     kind = "repro_buffered"

@@ -14,7 +14,7 @@ import numpy as np
 
 from .accumulators import make_acc
 
-__all__ = ["hash_aggregate"]
+__all__ = ["check_input", "hash_aggregate"]
 
 
 def hash_aggregate(
@@ -35,13 +35,19 @@ def hash_aggregate(
     """
     keys = np.asarray(keys, np.int64)
     values = np.asarray(values)
+    check_input(keys, values, n_groups)
+    acc = make_acc(kind, n_groups, **acc_kw)
+    for i in range(0, keys.size, batch):
+        acc.update(keys[i : i + batch], values[i : i + batch])
+    return acc
+
+
+def check_input(keys: np.ndarray, values: np.ndarray, n_groups: int) -> None:
+    """Raise unless ``keys`` (int64) and ``values`` pair up and every key
+    is in ``[0, n_groups)``."""
     if keys.shape != values.shape:
         raise ValueError("keys and values must have the same length")
     # one pass: a negative key is a huge unsigned one
     if keys.size and keys.view(np.uint64).max() >= np.uint64(n_groups):
         bad = keys[(keys < 0) | (keys >= n_groups)][0]
         raise IndexError(f"key {bad} out of range for {n_groups} groups")
-    acc = make_acc(kind, n_groups, **acc_kw)
-    for i in range(0, keys.size, batch):
-        acc.update(keys[i : i + batch], values[i : i + batch])
-    return acc

@@ -275,12 +275,16 @@ class GroupedBinnedAcc:
 
     def _prepare_windows(self, j: int, slots: np.ndarray, absvals: np.ndarray):
         """Per-batch extractor-validity check (Algorithm 3 line 4)."""
-        amax = np.zeros(self.n_slots, self.fmt.dtype)
-        np.maximum.at(amax, slots, absvals)
-        idx = np.flatnonzero(amax > 0)
-        if idx.size:
-            req = self.fmt.top_exponent(amax[idx])
-            self._raise_windows(j, idx, req)
+        if slots.size:
+            # only the batch's span of slots: partition-ordered input keeps
+            # it near the batch size however large the table is
+            lo = int(slots.min())
+            amax = np.zeros(int(slots.max()) + 1 - lo, self.fmt.dtype)
+            np.maximum.at(amax, slots - lo, absvals)
+            idx = np.flatnonzero(amax > 0)
+            if idx.size:
+                req = self.fmt.top_exponent(amax[idx])
+                self._raise_windows(j, idx + lo, req)
         e = self.e_top[j, slots]
         return np.where(e == EMPTY_E, 0, e)
 
@@ -396,11 +400,11 @@ class GroupedBinnedAcc:
                       stride: int) -> None:
         """Adopt ``other``'s slots at positions ``base + i*stride``.
 
-        The transfer phase of PARTITIONANDAGGREGATE for the private tables
-        of ``kind="repro"``: each holds *disjoint* groups (global key =
-        base + local*stride; the operator uses stride 1), so its states
-        can be copied — no summation needed. Both accumulators must be
-        dense; the target slots must be EMPTY.
+        The transfer phase of a partitioned aggregation with private
+        tables (``ReproAcc.merge_from``): each holds *disjoint* groups
+        (global key = base + local*stride), so its states can be copied —
+        no summation needed. Both accumulators must be dense; the target
+        slots must be EMPTY.
         """
         if not (self._dense and other._dense):
             raise TypeError("adopt_strided requires dense accumulators")

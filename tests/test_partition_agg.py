@@ -79,6 +79,24 @@ def test_totals_match_for_flat_types(kind, kw, d):
     assert np.allclose(got, ref, rtol=1e-12)
 
 
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("kind,kw", [
+    ("builtin", {}), ("builtin", {"dtype": np.float32}),
+    ("decimal", {"p": 9}), ("decimal", {"p": 38}),
+])
+@pytest.mark.parametrize("batch", [1 << 16, 999])
+def test_flat_types_bit_equal_to_plain_hash_agg(d, kind, kw, batch):
+    """The partition is stable and partitions hold disjoint groups, so
+    each group gets the same adds in the same order at any depth: even
+    order-dependent built-in floats keep their bits."""
+    dist = "prices" if kind == "decimal" else "mixed"
+    keys, vals = np_groupby_input(30000, 1000, dist=dist, seed=d)
+    ref = hash_aggregate(keys, vals, 1000, kind=kind, **kw).result_bits()
+    got = partition_and_aggregate(keys, vals, 1000, kind=kind, d=d,
+                                  batch=batch, **kw).result_bits()
+    assert got == ref
+
+
 def test_permutation_reproducibility_through_partitioning():
     keys, vals = np_groupby_input(40000, 5000, dist="mixed", seed=9)
     a = partition_and_aggregate(keys, vals, 5000, kind="repro_buffered", d=1, L=2)
