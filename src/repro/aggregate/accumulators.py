@@ -168,9 +168,9 @@ class BufferedReproAcc(ReproAcc):
     path, at most 2**22 rows per call), which amortises the per-call
     costs as a full buffer does. The literal array-per-group layout of
     Figure 5 is not built: the kernel gives the same bits without it
-    (see DESIGN.md §5). ``partition_and_aggregate`` deposits the whole,
-    partition-ordered input into the shared table in one call (the
-    kernel cuts it at 2**22 rows); ``finalize`` rounds in the same
+    (see DESIGN.md §5). ``hash_aggregate`` deposits its whole input —
+    partition-ordered under ``partition_and_aggregate`` — in one call
+    (the kernel cuts it at 2**22 rows); ``finalize`` rounds in the same
     compiled library.
     """
 

@@ -31,14 +31,18 @@ def hash_aggregate(
     ``kind`` selects the intermediate-aggregate data type (see
     ``accumulators.make_acc``). The returned accumulator exposes
     ``finalize()`` (float64 sums) and ``result_bits()``. A key outside
-    ``[0, n_groups)`` raises ``IndexError``.
+    ``[0, n_groups)`` raises ``IndexError``; this is the operators' one
+    key check. ``batch`` is the number of rows per ``update`` of the
+    NumPy kinds; ``repro_buffered`` deposits the whole input in one
+    call, which the compiled kernel cuts at 2**22 rows.
     """
     keys = np.asarray(keys, np.int64)
     values = np.asarray(values)
     check_input(keys, values, n_groups)
     acc = make_acc(kind, n_groups, **acc_kw)
-    for i in range(0, keys.size, batch):
-        acc.update(keys[i : i + batch], values[i : i + batch])
+    step = keys.size if kind == "repro_buffered" else batch
+    for i in range(0, keys.size, max(step, 1)):
+        acc.update(keys[i : i + step], values[i : i + step])
     return acc
 
 

@@ -241,23 +241,19 @@ DEFINE_FINALIZE(repro_finalize_f32, float, pow2f, 23)
  * Stable counting sort of n rows on (key >> shift) & (F - 1), F a power
  * of two. Row i is keys[i] plus row_bytes bytes at vals + i * row_bytes;
  * rows go to okeys/ovals grouped by partition, in input order within
- * one. bounds (F + 1 entries) receives the partition starts and n.
- * With limit >= 0 every key must lie in [0, limit): the histogram pass
- * returns the index of the first key that does not, before any row
- * moves. Returns -1 otherwise.
+ * one. bounds (F + 1 entries) receives the partition starts and n. The
+ * shift is unsigned and the mask keeps the id below F, so every key,
+ * negative or too large, lands in some partition: range checks belong
+ * to the caller.
  */
-int64_t repro_partition(int64_t n, const int64_t *keys, const char *vals,
-                        int64_t row_bytes, int64_t F, int64_t shift,
-                        int64_t limit, int64_t *okeys, char *ovals,
-                        int64_t *bounds)
+void repro_partition(int64_t n, const int64_t *keys, const char *vals,
+                     int64_t row_bytes, int64_t F, int64_t shift,
+                     int64_t *okeys, char *ovals, int64_t *bounds)
 {
     uint64_t mask = (uint64_t)F - 1;
     memset(bounds, 0, (size_t)(F + 1) * sizeof *bounds);
-    for (int64_t i = 0; i < n; i++) {
-        if (limit >= 0 && (uint64_t)keys[i] >= (uint64_t)limit)
-            return i;
+    for (int64_t i = 0; i < n; i++)
         bounds[(((uint64_t)keys[i] >> shift) & mask) + 1]++;
-    }
     for (int64_t p = 1; p <= F; p++)
         bounds[p] += bounds[p - 1];
     /* bounds[p] is partition p's write cursor: it ends at p + 1's start */
@@ -274,5 +270,4 @@ int64_t repro_partition(int64_t n, const int64_t *keys, const char *vals,
     }
     memmove(bounds + 1, bounds, (size_t)F * sizeof *bounds);
     bounds[0] = 0;
-    return -1;
 }

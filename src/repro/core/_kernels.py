@@ -72,8 +72,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         f = getattr(lib, name)
         f.argtypes = [i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, i64, ptr]
         f.restype = ctypes.c_int
-    lib.repro_partition.argtypes = [i64, ptr, ptr, i64, i64, i64, i64, ptr, ptr, ptr]
-    lib.repro_partition.restype = i64
+    lib.repro_partition.argtypes = [i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr]
+    lib.repro_partition.restype = None
     return lib
 
 
@@ -147,13 +147,12 @@ def finalize(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
         raise RuntimeError(f"finalize kernel rejected window {bad.value}")
 
 
-def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
-              n_keys: int | None = None):
+def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0):
     """Stable counting sort of ``(keys, values)`` rows on ``(key >> shift) & (F-1)``.
 
     Returns ``(keys_part, values_part, bounds)``; see
-    ``repro.aggregate.partition_agg.parallel_partition``. With ``n_keys``,
-    a key outside ``[0, n_keys)`` raises ``IndexError`` before any row moves.
+    ``repro.aggregate.partition_agg.parallel_partition``. Any int64 key
+    routes to a partition in ``[0, F)``, so keys are not checked here.
     """
     if F < 1 or F & (F - 1):
         raise ValueError("fan-out must be a power of two")
@@ -165,10 +164,7 @@ def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
         raise TypeError("values must be a numeric array, not object dtype")
     out_k, out_v = np.empty_like(keys), np.empty_like(values)
     bounds = np.empty(F + 1, np.int64)
-    bad = _lib().repro_partition(
+    _lib().repro_partition(
         keys.size, keys.ctypes.data, values.ctypes.data, values.strides[0], F,
-        shift, -1 if n_keys is None else n_keys, out_k.ctypes.data,
-        out_v.ctypes.data, bounds.ctypes.data)
-    if bad >= 0:
-        raise IndexError(f"key {keys[bad]} out of range for {n_keys} groups")
+        shift, out_k.ctypes.data, out_v.ctypes.data, bounds.ctypes.data)
     return out_k, out_v, bounds

@@ -177,9 +177,10 @@ class GroupedBinnedAcc:
       profile of using ``repro<ScalarT,L>`` as a drop-in aggregate type
       (paper Section IV / Figure 4).
 
-    Keys are either dense ints in ``[0, dense_n_groups)`` (the paper's
-    IDENTITYHASHING setup; no lookup cost) or arbitrary hashables mapped
-    through an internal index.
+    Keys are slot ids: ints in ``[0, n_slots)`` (the paper's
+    IDENTITYHASHING setup; no lookup cost). A table built with
+    ``dense_n_groups`` has that many slots; one built without grows to
+    its largest key. Callers with other keys factorise them first.
     """
 
     def __init__(self, *, L: int = 2, dtype=np.float64, ncols: int = 1,
@@ -189,10 +190,8 @@ class GroupedBinnedAcc:
         self.fmt = fmt_for(dtype)
         self.L = L
         self.ncols = ncols
-        self._dense = dense_n_groups is not None
+        self._grows = dense_n_groups is None
         n0 = dense_n_groups or 0
-        self._index: dict | None = None if self._dense else {}
-        self._keys: list | None = None if self._dense else []
         self.e_top = np.full((ncols, n0), EMPTY_E, np.int64)
         self.dev = np.zeros((ncols, L, n0), np.int64)
         self.C = np.zeros((ncols, L, n0), np.int64)
@@ -204,12 +203,10 @@ class GroupedBinnedAcc:
         return self.e_top.shape[1]
 
     def keys(self) -> np.ndarray:
-        if self._dense:
-            return np.arange(self.n_slots)
-        return np.asarray(self._keys)
+        return np.arange(self.n_slots)
 
     def _grow(self, add: int) -> None:
-        """Append ``add`` empty slots (dense: the slot ids that follow)."""
+        """Append ``add`` empty slots, the slot ids that follow."""
         if add <= 0:
             return
         self.e_top = np.concatenate(
@@ -222,24 +219,21 @@ class GroupedBinnedAcc:
             [self.C, np.zeros((self.ncols, self.L, add), np.int64)], axis=2
         )
 
-    def slots_for(self, keys: np.ndarray) -> np.ndarray:
-        """Map keys to slot ids, allocating slots for unseen keys."""
+    def slots_for(self, keys) -> np.ndarray:
+        """Integer ``keys`` as int64 slot ids; a growing table first grows
+        to its largest key. Raises ``TypeError`` for keys that are not
+        integers and ``IndexError`` for a negative key."""
         keys = np.asarray(keys)
-        if self._dense:
-            return keys.astype(np.int64, copy=False)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        lut = np.empty(uniq.size, np.int64)
-        n_new = 0
-        for i, k in enumerate(uniq.tolist()):
-            s = self._index.get(k)
-            if s is None:
-                s = len(self._index)
-                self._index[k] = s
-                self._keys.append(k)
-                n_new += 1
-            lut[i] = s
-        self._grow(n_new)
-        return lut[inv]
+        if keys.size == 0:
+            return keys.astype(np.int64)
+        if keys.dtype.kind not in "iu":
+            raise TypeError(f"keys must be integer slot ids, not {keys.dtype}")
+        slots = keys.astype(np.int64, copy=False)
+        if slots.min() < 0:
+            raise IndexError(f"slot {slots.min()} is negative")
+        if self._grows:
+            self._grow(int(slots.max()) + 1 - self.n_slots)
+        return slots
 
     # -------------------------------------------------------------- windows
     def _raise_windows(self, j: int, idx: np.ndarray, req: np.ndarray) -> None:
@@ -403,11 +397,8 @@ class GroupedBinnedAcc:
         The transfer phase of a partitioned aggregation with private
         tables (``ReproAcc.merge_from``): each holds *disjoint* groups
         (global key = base + local*stride), so its states can be copied —
-        no summation needed. Both accumulators must be dense; the target
-        slots must be EMPTY.
+        no summation needed. The target slots must be EMPTY.
         """
-        if not (self._dense and other._dense):
-            raise TypeError("adopt_strided requires dense accumulators")
         other.renorm_all()
         n = min(other.n_slots, (self.n_slots - base + stride - 1) // stride)
         sl = slice(base, base + n * stride, stride)

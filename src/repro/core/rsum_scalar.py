@@ -61,12 +61,12 @@ class RsumScalar:
             return self
         if self.S is None:
             e = int(fmt.top_exponent(abs(b)))
-            fmt.check_window(e, self.L)
+            self._check_top(e)
             self._init_window(e)
         # Extractor validity (Alg. 2 lines 3–7): shift levels up while the
         # first level cannot hold this value's contribution.
         while abs(b) >= np.ldexp(t(1), np.int32(self.e_top - fmt.m + fmt.W - 1)):
-            fmt.check_window(self.e_top + fmt.W, self.L)
+            self._check_top(self.e_top + fmt.W)
             self.S[1:] = self.S[: self.L - 1]
             self.C[1:] = self.C[: self.L - 1]
             self.e_top += fmt.W
@@ -74,14 +74,14 @@ class RsumScalar:
             self.C[0] = 0
         # Load & transform (lines 8–13), extractors M_l = 1.5 * 2**e_l.
         r = b
-        for lev in range(self.L):
+        for lev in self._levels():
             e_l = self.e_top - lev * fmt.W
             M = np.ldexp(t(1.5), np.int32(e_l))
             q = t(t(r + M) - M)
             self.S[lev] = t(self.S[lev] + q)  # exact: same-grid multiples
             r = t(r - q)  # exact remainder
         # Carry-bit propagation (lines 14–18), per element.
-        for lev in range(self.L):
+        for lev in self._levels():
             e_l = self.e_top - lev * fmt.W
             u = np.ldexp(t(1), np.int32(e_l))  # ufp(S^(l)) = 2**e_l
             devf = t(self.S[lev] - t(1.5) * u)  # exact: S - 1.5*ufp
@@ -92,15 +92,34 @@ class RsumScalar:
                 self.C[lev] += d
         return self
 
+    def _check_top(self, e: int) -> None:
+        # only the upper rail: a later value may still lift the window
+        # above the lower one, so that is checked on the final window
+        if e > self.fmt.e_top_max:
+            self.fmt.check_window(e, self.L)
+
+    def _levels(self) -> range:
+        """The levels whose exponent is at or above ``e_bot_min``.
+
+        Lower levels are skipped, as the compiled deposit skips them:
+        their extractor would not be a normal number, and any raise that
+        makes the window legal shifts them out.
+        """
+        return range(min(self.L, (self.e_top - self.fmt.e_bot_min) // self.fmt.W + 1))
+
     def add_many(self, values) -> "RsumScalar":
         for x in np.asarray(values).ravel():
             self.add(x)
         return self
 
     def state(self):
-        """(e_top, dev, C) in the integer-unit canonical layout of binned.py."""
+        """(e_top, dev, C) in the integer-unit canonical layout of binned.py.
+
+        Raises ``ValueError`` if the window lies outside the guard rails.
+        """
         if self.S is None:
             return EMPTY_E, np.zeros(self.L, np.int64), self.C.copy()
+        self.fmt.check_window(self.e_top, self.L)
         t = self.fmt.dtype.type
         dev = np.empty(self.L, np.int64)
         for lev in range(self.L):

@@ -19,21 +19,19 @@ from pyspark.sql import types as T
 __all__ = ["sorted_sum_groupby"]
 
 
-def sorted_sum_groupby(df: DataFrame, keys, values, *,
-                       presort: bool = True) -> DataFrame:
+def sorted_sum_groupby(df: DataFrame, keys, values) -> DataFrame:
     """Deterministically ordered per-group sums ``<v>_ssum`` (float64).
 
-    ``presort=True`` (default) runs the paper's global input sort — a
-    full ORDER BY over keys and values (range shuffle + sort) — before
-    the fold, which is what the unmodified-engine baseline must pay.
-    The fold itself re-sorts each group (cheap, already ordered) so the
-    result is a pure function of the input multiset regardless of how
-    the range partitioner split the sorted runs.
+    Runs the paper's global input sort — a full ORDER BY over keys and
+    values (range shuffle + sort) — before the fold, which is what the
+    unmodified-engine baseline must pay. The fold itself re-sorts each
+    group (cheap, already ordered) so the result is a pure function of
+    the input multiset regardless of how the range partitioner split the
+    sorted runs.
     """
     keycols = [keys] if isinstance(keys, str) else list(keys)
     valcols = [values] if isinstance(values, str) else list(values)
-    if presort:
-        df = df.orderBy(*keycols, *valcols)
+    df = df.orderBy(*keycols, *valcols)
     key_fields = [df.schema[k] for k in keycols]
     out_schema = T.StructType(
         list(key_fields) + [T.StructField(f"{v}_ssum", T.DoubleType()) for v in valcols]

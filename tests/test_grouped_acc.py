@@ -29,12 +29,14 @@ class TestAgainstPerGroupReference:
             assert got[k] == one_group_sum(vals[keys == k], L, dtype)
 
     def test_keyed(self, dtype, L):
+        """A table built without a size grows to its largest key."""
         keys, vals = np_groupby_input(5000, 11, dist="uniform12", dtype=dtype, seed=L)
-        skeys = np.array([f"g{k:02d}" for k in keys])
-        acc = GroupedBinnedAcc(L=L, dtype=dtype).update(skeys, vals)
-        got = dict(zip(acc.keys().tolist(), acc.finalize()[:, 0]))
-        for k in range(11):
-            assert got[f"g{k:02d}"] == one_group_sum(vals[keys == k], L, dtype)
+        acc = GroupedBinnedAcc(L=L, dtype=dtype).update(keys * 3, vals)
+        assert acc.n_slots == 31 and np.array_equal(acc.keys(), np.arange(31))
+        got = acc.finalize()[:, 0]
+        for k in range(31):
+            want = one_group_sum(vals[keys * 3 == k], L, dtype) if k % 3 == 0 else 0
+            assert got[k] == want
 
 
 class TestInvariance:
@@ -89,7 +91,7 @@ class TestInvariance:
         acc = GroupedBinnedAcc(L=2)
         empty = GroupedBinnedAcc(L=2).update(np.array([5, 6]), np.array([0.0, 0.0]))
         acc.merge(empty)
-        assert set(acc.keys().tolist()) == {5, 6}
+        assert acc.keys().tolist() == list(range(7))
         assert np.all(acc.finalize() == 0.0)
 
 
@@ -119,6 +121,15 @@ class TestEdgeCases:
     def test_all_zero_group(self):
         acc = GroupedBinnedAcc(L=2, dense_n_groups=2).update([0, 0, 1], [0.0, 0.0, 1.0])
         assert acc.finalize()[0, 0] == 0.0
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_rejects_non_integer_and_negative_keys(self, fast):
+        """Keys are slot ids: others are factorised by the caller."""
+        with pytest.raises(TypeError, match="integer slot ids"):
+            GroupedBinnedAcc(L=2).update(np.array(["a", "b"]), [1.0, 2.0], fast=fast)
+        for acc in (GroupedBinnedAcc(L=2), GroupedBinnedAcc(L=2, dense_n_groups=4)):
+            with pytest.raises(IndexError):
+                acc.update([0, -1], [1.0, 2.0], fast=fast)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

@@ -276,7 +276,7 @@ so = _kernels._artifact(Path(sys.argv[1]))
 lib = _kernels._declare(ctypes.CDLL(str(so)))
 keys = np.arange(10, dtype=np.int64)
 out, vals, bounds = np.empty(10, np.int64), np.empty(10), np.empty(3, np.int64)
-lib.repro_partition(10, keys.ctypes.data, keys.ctypes.data, 8, 2, 0, -1,
+lib.repro_partition(10, keys.ctypes.data, keys.ctypes.data, 8, 2, 0,
                     out.ctypes.data, vals.ctypes.data, bounds.ctypes.data)
 assert bounds.tolist() == [0, 5, 10], bounds
 print(so)

@@ -1,4 +1,4 @@
-"""PARTITIONANDAGGREGATE (Algorithm 4): partitioning + private tables + merge."""
+"""PARTITIONANDAGGREGATE (Algorithm 4): radix partition + HASHAGGREGATION."""
 import numpy as np
 import pytest
 
@@ -7,6 +7,7 @@ from repro.aggregate import (
     parallel_partition,
     partition_and_aggregate,
 )
+from repro.core import _kernels
 from repro.synth_data import np_groupby_input
 
 
@@ -145,21 +146,12 @@ def test_out_of_range_key_raises(kind, kw, d, key):
         partition_and_aggregate(keys, vals, 1000, kind=kind, d=d, **kw)
 
 
-@pytest.mark.parametrize("kind", ["builtin", "repro_buffered"])
-def test_operator_rejects_non_power_of_two_fanout(kind):
-    keys, vals = np_groupby_input(1000, 100, seed=2)
-    with pytest.raises(ValueError, match="power of two"):
-        partition_and_aggregate(keys, vals, 100, kind=kind, d=1, f=3)
-
-
 def test_high_digit_routing_owns_contiguous_slices():
     """At d = 1 partition p holds exactly the keys of [p << s, (p+1) << s),
     so its groups form one slice of the shared table."""
-    from repro.aggregate.partition_agg import _partition_high
     keys, vals = np_groupby_input(20000, 1000, seed=3)
-    s, pk, pv, bounds = _partition_high(keys, vals, 1000, 256)
-    assert s == 2
+    pk, pv, bounds = _kernels.partition(keys, vals, 256, 2)  # 256 << 2 >= 1000
     for p in range(256):
-        assert np.all(pk[bounds[p]:bounds[p + 1]] >> s == p)
-    order = np.argsort(keys >> s, kind="stable")
+        assert np.all(pk[bounds[p]:bounds[p + 1]] >> 2 == p)
+    order = np.argsort(keys >> 2, kind="stable")
     assert np.array_equal(pk, keys[order]) and np.array_equal(pv, vals[order])

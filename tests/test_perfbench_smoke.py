@@ -21,3 +21,5 @@ def test_local_wide_tiny_run_is_correct(trace):
     assert proc.returncode == 0, proc.stderr[-3000:]
     res = json.loads(proc.stdout.strip().splitlines()[-1])
     assert res["correct"] is True and res["failed"] == 0, res
+    if trace:  # the traced harness sees the operator's one aggregation call
+        assert res["metrics"]["aggregate.hash_aggregate_s"]["value"] > 0, res

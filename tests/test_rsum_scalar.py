@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import EMPTY_E, RsumScalar, fmt_for
+from repro.core import EMPTY_E, BinnedSum, RsumScalar, fmt_for
 
 
 class TestMechanics:
@@ -73,6 +73,18 @@ class TestMechanics:
             RsumScalar().add(float("nan"))
         with pytest.raises(ValueError):
             RsumScalar().add(float("inf"))
+
+    @pytest.mark.parametrize("order", [[1e-305, 1.0], [1.0, 1e-305]])
+    def test_lower_rail_checked_on_the_final_window(self, order):
+        """A value below the lower rail is legal once a later value lifts
+        the window above it, in either order, as in the compiled deposit."""
+        got = RsumScalar(L=2).add_many(order).finalize()
+        assert got == 1.0 and got == BinnedSum(L=2).add_vector(order).finalize()
+
+    def test_lone_value_below_the_rail_raises_at_finalize(self):
+        s = RsumScalar(L=2).add(1e-305)
+        with pytest.raises(ValueError, match="outside supported range"):
+            s.finalize()
 
     def test_rejects_L0(self):
         with pytest.raises(ValueError):
