@@ -8,6 +8,12 @@ built-in floats of the same width. The geometric mean of the
 per-n_groups slowdowns is the paper's Table III (1.88–2.35 for float,
 2.12–2.41 for double).
 
+The compiled partition, deposit and finalize run on
+``_kernels.threads(n)`` threads (one per usable CPU, at most one per
+2**16 rows), which the job prints; the built-in baseline is NumPy on one
+thread, so part of any drop in these ratios is cores, not a cheaper
+algorithm. Pin the process (``taskset -c 0``) to measure one thread.
+
 Also prints the Section IV spot check (Figure 4's claim): the
 *unbuffered* drop-in repro type at 16 groups is 4–12x slower than
 built-ins, which is the motivation for summation buffers.
@@ -26,6 +32,7 @@ import time
 import numpy as np
 
 from repro.aggregate import partition_and_aggregate, hash_aggregate
+from repro.core import _kernels
 from repro.synth_data import np_groupby_input
 
 
@@ -96,7 +103,8 @@ def main():
     dtypes = (np.float32, np.float64)
     Ls = (1, 2) if quick else (1, 2, 3, 4)
 
-    print(f"n = {n}, n_groups = 2^{list(group_exps)}, best of {reps} runs")
+    print(f"n = {n}, n_groups = 2^{list(group_exps)}, best of {reps} runs, "
+          f"{_kernels.threads(n)} kernel thread(s) per call at n rows")
     results, base = run_sweep(n, group_exps, Ls, dtypes, reps)
 
     print("\nPer-n_groups slowdown of repro_buffered vs builtin (same width):")

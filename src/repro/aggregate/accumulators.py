@@ -165,13 +165,14 @@ class BufferedReproAcc(ReproAcc):
     Performance realisation in this substrate: the processing batch
     plays the role of the per-group summation buffer, and each batch is
     one call of the compiled deposit loop (``GroupedBinnedAcc``'s fast
-    path, at most 2**22 rows per call), which amortises the per-call
-    costs as a full buffer does. The literal array-per-group layout of
-    Figure 5 is not built: the kernel gives the same bits without it
-    (see DESIGN.md §5). ``hash_aggregate`` deposits its whole input —
-    partition-ordered under ``partition_and_aggregate`` — in one call
-    (the kernel cuts it at 2**22 rows); ``finalize`` rounds in the same
-    compiled library.
+    path), which amortises the per-call costs as a full buffer does. The
+    literal array-per-group layout of Figure 5 is not built: the kernel
+    gives the same bits without it (see DESIGN.md §5). ``hash_aggregate``
+    deposits its whole input — partition-ordered under
+    ``partition_and_aggregate``, so the kernel splits it over threads by
+    slot — in one ``update`` (``GroupedBinnedAcc.update_slots`` cuts it
+    into kernel calls of at most 2**22 rows); ``finalize`` rounds in the
+    same compiled library.
     """
 
     kind = "repro_buffered"

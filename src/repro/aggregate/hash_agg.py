@@ -34,7 +34,8 @@ def hash_aggregate(
     ``[0, n_groups)`` raises ``IndexError``; this is the operators' one
     key check. ``batch`` is the number of rows per ``update`` of the
     NumPy kinds; ``repro_buffered`` deposits the whole input in one
-    call, which the compiled kernel cuts at 2**22 rows.
+    ``update``, which ``GroupedBinnedAcc.update_slots`` cuts into kernel
+    calls of at most 2**22 rows.
     """
     keys = np.asarray(keys, np.int64)
     values = np.asarray(values)

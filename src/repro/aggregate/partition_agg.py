@@ -14,8 +14,10 @@
    bits are those of ``hash_aggregate`` on the unpartitioned input.
 
 The partitioning substrate is a compiled stable counting sort
-(``core/_kernels.c``) — the single-pass software-managed radix partition
-of [9, 31, 33] (see DESIGN.md §5). It routes on
+(``core/_kernels.c``) — the single-pass radix partition of [9, 31, 33]
+with per-thread histograms, run on the usable cores (see DESIGN.md §5);
+the deposit and finalize that follow split their work over the same
+threads by slot, so no two threads touch one group. It routes on
 ``((uint64)key >> s) & (F - 1)``, which stays in bounds for any key, so
 the keys are checked once, by ``hash_aggregate``.
 """

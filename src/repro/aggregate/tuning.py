@@ -44,12 +44,16 @@ PAPER_DEPTH_THRESHOLDS = {
 #: scatter-adds into multi-MiB tables stay cheap until far later than on
 #: the paper's hardware, while a partitioning pass costs a stable sort,
 #: so every type partitions later; repro types still partition *earlier*
-#: than built-ins because their per-group state is (2L+1)x wider.
+#: than built-ins because their per-group state is (2L+1)x wider. The
+#: buffered type partitions earliest: only partition-ordered rows let its
+#: compiled deposit run on several threads. From 2^17 groups d = 1 beat
+#: d = 0 in every cell measured on 2 and 4 CPUs (EXPERIMENTS.md, Table
+#: III); on one CPU the crossover lies near 2^18 and depends on L.
 _DEPTH_THRESHOLDS = {
     "builtin": (1 << 22, 1 << 26),
     "decimal": (1 << 22, 1 << 26),
     "repro": (1 << 19, 1 << 24),
-    "repro_buffered": (1 << 19, 1 << 24),
+    "repro_buffered": (1 << 17, 1 << 24),
 }
 
 

@@ -1,6 +1,7 @@
 /* Compiled kernels of the buffered reproducible deposit, of its
  * renormalise-and-round finalize, and of the radix partition. `_kernels.py`
- * builds this file on first use and calls it through ctypes.
+ * builds this file on first use and calls it through ctypes, with the
+ * number of threads each call runs on (see run_tasks).
  *
  * Build flags matter for correctness: -ffp-contract=off and no
  * -ffast-math keep every floating-point operation below rounded once, in
@@ -8,6 +9,7 @@
  * exact and the per-level units match the NumPy `deposit_units` bit for
  * bit.
  */
+#include <pthread.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -106,6 +108,46 @@ static inline float extractor_f32(int64_t e)
     return f;
 }
 
+/* Threads per kernel call, at most; `_kernels.threads` caps at the same. */
+#define MAX_THREADS 64
+/* Stack of each worker thread: the tasks below need a few hundred bytes. */
+#define STACK_BYTES (1 << 18)
+
+typedef void *(*task_fn)(void *);
+
+static int64_t clamp_threads(int64_t T)
+{
+    return T < 1 ? 1 : T > MAX_THREADS ? MAX_THREADS : T;
+}
+
+/*
+ * Run fn on T tasks, task t at tasks + t * size: tasks 1..T-1 on threads
+ * of their own, task 0 on the calling thread. A task whose thread cannot
+ * be started runs on the calling thread after task 0. Tasks write
+ * disjoint memory, so where and when each one runs changes no result.
+ */
+static void run_tasks(int64_t T, task_fn fn, void *tasks, size_t size)
+{
+    pthread_t tid[MAX_THREADS];
+    int started[MAX_THREADS];
+    pthread_attr_t attr;
+    int have_attr = pthread_attr_init(&attr) == 0;
+    if (have_attr)
+        pthread_attr_setstacksize(&attr, STACK_BYTES); /* default if refused */
+    for (int64_t t = 1; t < T; t++)
+        started[t] = pthread_create(&tid[t], have_attr ? &attr : NULL, fn,
+                                    (char *)tasks + t * size) == 0;
+    fn(tasks);
+    for (int64_t t = 1; t < T; t++) {
+        if (started[t])
+            pthread_join(tid[t], NULL);
+        else
+            fn((char *)tasks + t * size);
+    }
+    if (have_attr)
+        pthread_attr_destroy(&attr);
+}
+
 /* Move slot s's L levels down by sh (its window rose by sh * W): level l
  * takes level l - sh, the top sh levels start at zero. */
 static inline void shift_levels(int64_t *x, int64_t ns, int64_t L, int64_t s,
@@ -115,45 +157,79 @@ static inline void shift_levels(int64_t *x, int64_t ns, int64_t L, int64_t s,
         x[l * ns + s] = l >= sh ? x[(l - sh) * ns + s] : 0;
 }
 
+/* One value column's state and its format's constants. */
+struct column {
+    int64_t ns, L, W, e_max, e_min;
+    int64_t *e_top, *dev, *C;
+};
+
+/* A thread's share of a deposit: rows [lo, hi), which may only touch the
+ * slots [slo, shi), and the first error it met. */
+struct dep_task {
+    struct column c;
+    const void *v;
+    const int64_t *slots;
+    int64_t lo, hi;
+    uint64_t slo, shi;
+    int rc;
+    int64_t bad;
+};
+
+/* A thread's share of a finalize: slots [lo, hi). */
+struct fin_task {
+    struct column c;
+    void *out;
+    int64_t stride, lo, hi;
+    int rc;
+    int64_t bad;
+};
+
 /*
  * Deposit n values v[i] into slots slots[i] of one value column.
  *
  * State: e_top[ns], dev[L][ns], C[L][ns] (int64, level-major). W, the
  * mantissa bits m and the guard rails [e_min, e_max] are those of the
- * format (FloatFormat). Two passes:
+ * format (FloatFormat). Two passes over a task's rows:
  *
- * 1. per value: check finiteness and the slot id, take the grid exponent
- *    of the value's natural window from its bits and raise the slot's
- *    window to it, shifting dev/C as GroupedBinnedAcc._raise_windows
- *    does. A value needs a raise iff efr + m - W + 1 > e_top (EMPTY_E is
- *    the smallest int64), so steady-state values skip the division.
- *    The upper guard rail is checked per raise. The lower one is not: a
- *    later value may still raise the window above it, so it is checked
- *    on the final windows, by finalize and export_states.
- * 2. per value, per level l: q = (r + M_l) - M_l in the format's
+ * 1. (raise) per value: check finiteness and that the slot is one the
+ *    task owns, take the grid exponent of the value's natural window from
+ *    its bits and raise the slot's window to it, shifting dev/C as
+ *    GroupedBinnedAcc._raise_windows does. A value needs a raise iff
+ *    efr + m - W + 1 > e_top (EMPTY_E is the smallest int64), so
+ *    steady-state values skip the division. The upper guard rail is
+ *    checked per raise. The lower one is not: a later value may still
+ *    raise the window above it, so it is checked on the final windows,
+ *    by finalize and export_states.
+ * 2. (add) per value, per level l: q = (r + M_l) - M_l in the format's
  *    arithmetic, units = q * 2**(m - e + l*W) exactly in double, r -= q.
  *    Levels below e_min are skipped: their extractor would not be a
  *    normal number, and any raise that makes the window legal shifts
  *    them out, so they cannot reach a result bit.
  *
- * Returns DEP_OK, or an error code with *bad the offending value index
- * (DEP_NONFINITE, DEP_SLOT) or window exponent (DEP_RANGE). Deposits
- * happen only after the checks passed; windows may already be raised.
+ * The rc of pass 1 is DEP_OK, or an error code with bad the offending
+ * value index (DEP_NONFINITE, DEP_SLOT) or window exponent (DEP_RANGE).
  */
 #define DEFINE_DEPOSIT(NAME, T, EFR, EXTRACTOR, M)                            \
-    int NAME(int64_t n, const T *v, const int64_t *slots, int64_t ns,         \
-             int64_t L, int64_t W, int64_t e_max, int64_t e_min,              \
-             int64_t *e_top, int64_t *dev, int64_t *C, int64_t *bad)          \
+    static void *NAME##_raise(void *arg)                                      \
     {                                                                         \
-        for (int64_t i = 0; i < n; i++) {                                     \
+        struct dep_task *a = arg;                                             \
+        const T *v = a->v;                                                    \
+        const int64_t *slots = a->slots;                                      \
+        int64_t ns = a->c.ns, L = a->c.L, W = a->c.W, e_max = a->c.e_max;     \
+        int64_t *e_top = a->c.e_top, *dev = a->c.dev, *C = a->c.C;           \
+        uint64_t slo = a->slo, owned = a->shi - a->slo;                       \
+        a->rc = DEP_OK;                                                       \
+        for (int64_t i = a->lo; i < a->hi; i++) {                             \
             int64_t s = slots[i], efr = EFR(v[i]);                            \
-            if ((uint64_t)s >= (uint64_t)ns) {                                \
-                *bad = i;                                                     \
-                return DEP_SLOT;                                              \
+            if ((uint64_t)s - slo >= owned) {                                 \
+                a->bad = i;                                                   \
+                a->rc = DEP_SLOT;                                             \
+                return NULL;                                                  \
             }                                                                 \
             if (efr == NONFINITE_EFR) {                                       \
-                *bad = i;                                                     \
-                return DEP_NONFINITE;                                         \
+                a->bad = i;                                                   \
+                a->rc = DEP_NONFINITE;                                        \
+                return NULL;                                                  \
             }                                                                 \
             if (efr == ZERO_EFR)                                              \
                 continue; /* zeros deposit nothing and open no window */      \
@@ -162,8 +238,9 @@ static inline void shift_levels(int64_t *x, int64_t ns, int64_t L, int64_t s,
                 continue;                                                     \
             int64_t e = -floor_div(-req, W) * W;                              \
             if (e > e_max) {                                                  \
-                *bad = e;                                                     \
-                return DEP_RANGE;                                             \
+                a->bad = e;                                                   \
+                a->rc = DEP_RANGE;                                            \
+                return NULL;                                                  \
             }                                                                 \
             if (cur != EMPTY_E) {                                             \
                 shift_levels(dev, ns, L, s, (e - cur) / W);                   \
@@ -171,7 +248,18 @@ static inline void shift_levels(int64_t *x, int64_t ns, int64_t L, int64_t s,
             }                                                                 \
             e_top[s] = e;                                                     \
         }                                                                     \
-        for (int64_t i = 0; i < n; i++) {                                     \
+        return NULL;                                                          \
+    }                                                                         \
+                                                                              \
+    static void *NAME##_add(void *arg)                                        \
+    {                                                                         \
+        struct dep_task *a = arg;                                             \
+        const T *v = a->v;                                                    \
+        const int64_t *slots = a->slots;                                      \
+        int64_t ns = a->c.ns, L = a->c.L, W = a->c.W, e_min = a->c.e_min;     \
+        const int64_t *e_top = a->c.e_top;                                    \
+        int64_t *dev = a->c.dev;                                              \
+        for (int64_t i = a->lo; i < a->hi; i++) {                             \
             T r = v[i];                                                       \
             if (r == 0)                                                       \
                 continue;                                                     \
@@ -184,8 +272,92 @@ static inline void shift_levels(int64_t *x, int64_t ns, int64_t L, int64_t s,
                 r = r - q;                                                    \
             }                                                                 \
         }                                                                     \
-        return DEP_OK;                                                        \
+        return NULL;                                                          \
+    }                                                                         \
+                                                                              \
+    int NAME(int64_t n, const T *v, const int64_t *slots, int64_t ns,         \
+             int64_t L, int64_t W, int64_t e_max, int64_t e_min,              \
+             int64_t *e_top, int64_t *dev, int64_t *C, int64_t threads,       \
+             int64_t *bad)                                                    \
+    {                                                                         \
+        struct dep_task a = {{ns, L, W, e_max, e_min, e_top, dev, C},         \
+                             v, slots, 0, n, 0, (uint64_t)ns, DEP_OK, 0};     \
+        return deposit(&a, threads, NAME##_raise, NAME##_add, bad);           \
     }
+
+/* First i in [lo, hi) with (slots[i] >> k) >= t, unsigned; hi if none.
+ * A binary search: exact where the rows are ordered on slots >> k. */
+static int64_t first_at_least(const int64_t *slots, int64_t lo, int64_t hi,
+                              int64_t k, uint64_t t)
+{
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if ((uint64_t)slots[mid] >> k < t)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/*
+ * Deposit task a (all rows, all slots) on B threads, B the largest power
+ * of two <= threads. Thread t owns the slots whose top log2(B) bits (of
+ * the bits of ns - 1) equal t; its rows are the run whose slots >> k
+ * equal t, found by binary search, so partition-ordered and key-sorted
+ * rows split by slot. Pass 1 runs on every thread and stops at a row
+ * whose slot its thread does not own, so no thread writes another's
+ * slots; then pass 2 runs on the same threads. If the lowest thread that
+ * stopped met such a row (rows out of order, or a bad slot), the call
+ * reruns on one thread, which owns every slot: raising a window to the
+ * same value twice changes nothing, and shifts compose, so the windows
+ * the threads raised first change no bit. Any other error is that
+ * thread's, which is the first in row order, as on one thread. After an
+ * error, windows may be raised; nothing is deposited.
+ */
+static int deposit(const struct dep_task *a, int64_t threads, task_fn raise,
+                   task_fn add, int64_t *bad)
+{
+    struct dep_task task[MAX_THREADS];
+    int64_t B = 1, lg = 0, n = a->hi, ns = a->c.ns, t;
+    while (2 * B <= clamp_threads(threads)) {
+        B *= 2;
+        lg++;
+    }
+    if (B > 1) {
+        int64_t bits = ns > 1 ? 64 - __builtin_clzll((uint64_t)(ns - 1)) : 0;
+        int64_t k = bits > lg ? bits - lg : 0;
+        for (t = 0; t < B; t++) {
+            uint64_t lo = (uint64_t)t << k, hi = (uint64_t)(t + 1) << k;
+            task[t] = *a;
+            task[t].lo = t ? task[t - 1].hi : 0;
+            task[t].hi = t + 1 < B
+                ? first_at_least(a->slots, task[t].lo, n, k, (uint64_t)t + 1)
+                : n;
+            task[t].slo = lo < (uint64_t)ns ? lo : (uint64_t)ns;
+            task[t].shi = hi < (uint64_t)ns ? hi : (uint64_t)ns;
+        }
+        run_tasks(B, raise, task, sizeof *task);
+        for (t = 0; t < B && task[t].rc == DEP_OK; t++)
+            ;
+        if (t == B) {
+            run_tasks(B, add, task, sizeof *task);
+            return DEP_OK;
+        }
+        if (task[t].rc != DEP_SLOT) {
+            *bad = task[t].bad;
+            return task[t].rc;
+        }
+    }
+    task[0] = *a;
+    raise(&task[0]);
+    if (task[0].rc != DEP_OK) {
+        *bad = task[0].bad;
+        return task[0].rc;
+    }
+    add(&task[0]);
+    return DEP_OK;
+}
 
 DEFINE_DEPOSIT(repro_deposit_f64, double, efr_f64, extractor_f64, 52)
 DEFINE_DEPOSIT(repro_deposit_f32, float, efr_f32, extractor_f32, 23)
@@ -193,7 +365,8 @@ DEFINE_DEPOSIT(repro_deposit_f32, float, efr_f32, extractor_f32, 23)
 /*
  * Renormalise one value column's state in place and round every slot to
  * the format, out[s * stride]; one pass, bit for bit finalize_state after
- * renorm (binned.py).
+ * renorm (binned.py). The slots are split into `threads` contiguous
+ * ranges, one per thread.
  *
  * Renormalisation moves whole multiples of 2**(m-2) units from dev into
  * C (floor division, so negative deviations work too). The sum is taken
@@ -202,14 +375,20 @@ DEFINE_DEPOSIT(repro_deposit_f32, float, efr_f32, extractor_f32, 23)
  * such power of two is a float of the format, so each product rounds
  * once, as np.ldexp does. EMPTY slots round to 0.
  * A live window outside [e_min + (L-1)*W, e_max] returns DEP_RANGE with
- * *bad the window; slots before it are already renormalised and rounded.
+ * *bad the first such window in slot order; other slots may already be
+ * renormalised and rounded.
  */
 #define DEFINE_FINALIZE(NAME, T, POW2, M)                                     \
-    int NAME(int64_t ns, int64_t L, int64_t W, int64_t e_max, int64_t e_min, \
-             const int64_t *e_top, int64_t *dev, int64_t *C, T *out,          \
-             int64_t stride, int64_t *bad)                                    \
+    static void *NAME##_slots(void *arg)                                      \
     {                                                                         \
-        for (int64_t s = 0; s < ns; s++) {                                    \
+        struct fin_task *a = arg;                                             \
+        int64_t ns = a->c.ns, L = a->c.L, W = a->c.W, e_max = a->c.e_max;     \
+        int64_t e_min = a->c.e_min, stride = a->stride;                       \
+        const int64_t *e_top = a->c.e_top;                                    \
+        int64_t *dev = a->c.dev, *C = a->c.C;                                 \
+        T *out = a->out;                                                      \
+        a->rc = DEP_OK;                                                       \
+        for (int64_t s = a->lo; s < a->hi; s++) {                             \
             for (int64_t l = 0; l < L; l++) {                                 \
                 int64_t carry = dev[l * ns + s] >> ((M) - 2); /* floor */     \
                 C[l * ns + s] += carry;                                       \
@@ -219,8 +398,9 @@ DEFINE_DEPOSIT(repro_deposit_f32, float, efr_f32, extractor_f32, 23)
             T q = 0;                                                          \
             if (e != EMPTY_E) {                                               \
                 if (e > e_max || e - (L - 1) * W < e_min) {                   \
-                    *bad = e;                                                 \
-                    return DEP_RANGE;                                         \
+                    a->bad = e;                                               \
+                    a->rc = DEP_RANGE;                                        \
+                    return NULL;                                              \
                 }                                                             \
                 for (int64_t l = L - 1; l >= 0; l--) {                        \
                     int64_t el = e - l * W;                                   \
@@ -231,43 +411,111 @@ DEFINE_DEPOSIT(repro_deposit_f32, float, efr_f32, extractor_f32, 23)
             }                                                                 \
             out[s * stride] = q;                                              \
         }                                                                     \
+        return NULL;                                                          \
+    }                                                                         \
+                                                                              \
+    int NAME(int64_t ns, int64_t L, int64_t W, int64_t e_max, int64_t e_min, \
+             int64_t *e_top, int64_t *dev, int64_t *C, T *out,                \
+             int64_t stride, int64_t threads, int64_t *bad)                   \
+    {                                                                         \
+        struct fin_task task[MAX_THREADS];                                    \
+        int64_t Tn = clamp_threads(threads), t;                               \
+        for (t = 0; t < Tn; t++) {                                            \
+            task[t] = (struct fin_task){                                      \
+                {ns, L, W, e_max, e_min, e_top, dev, C}, out, stride,         \
+                ns * t / Tn, ns * (t + 1) / Tn, DEP_OK, 0};                   \
+        }                                                                     \
+        run_tasks(Tn, NAME##_slots, task, sizeof *task);                      \
+        for (t = 0; t < Tn; t++) {                                            \
+            if (task[t].rc != DEP_OK) {                                       \
+                *bad = task[t].bad;                                           \
+                return task[t].rc;                                            \
+            }                                                                 \
+        }                                                                     \
         return DEP_OK;                                                        \
     }
 
 DEFINE_FINALIZE(repro_finalize_f64, double, pow2, 52)
 DEFINE_FINALIZE(repro_finalize_f32, float, pow2f, 23)
 
+/* A thread's share of a partition: rows [lo, hi) and its F counters,
+ * first the chunk's histogram, then its write cursors. */
+struct part_task {
+    const int64_t *keys;
+    const char *vals;
+    int64_t row_bytes, shift;
+    uint64_t mask;
+    int64_t lo, hi;
+    int64_t *cur;
+    int64_t *okeys;
+    char *ovals;
+};
+
+static void *part_count(void *arg)
+{
+    struct part_task *a = arg;
+    for (int64_t i = a->lo; i < a->hi; i++)
+        a->cur[((uint64_t)a->keys[i] >> a->shift) & a->mask]++;
+    return NULL;
+}
+
+static void *part_scatter(void *arg)
+{
+    struct part_task *a = arg;
+    const int64_t *keys = a->keys;
+    const char *vals = a->vals;
+    int64_t rb = a->row_bytes, shift = a->shift, *cur = a->cur;
+    uint64_t mask = a->mask;
+    for (int64_t i = a->lo; i < a->hi; i++) {
+        int64_t d = cur[((uint64_t)keys[i] >> shift) & mask]++;
+        a->okeys[d] = keys[i];
+        if (rb == 8)
+            memcpy(a->ovals + d * 8, vals + i * 8, 8);
+        else if (rb == 4)
+            memcpy(a->ovals + d * 4, vals + i * 4, 4);
+        else
+            memcpy(a->ovals + d * rb, vals + i * rb, (size_t)rb);
+    }
+    return NULL;
+}
+
 /*
  * Stable counting sort of n rows on (key >> shift) & (F - 1), F a power
- * of two. Row i is keys[i] plus row_bytes bytes at vals + i * row_bytes;
- * rows go to okeys/ovals grouped by partition, in input order within
- * one. bounds (F + 1 entries) receives the partition starts and n. The
- * shift is unsigned and the mask keeps the id below F, so every key,
- * negative or too large, lands in some partition: range checks belong
- * to the caller.
+ * of two, on `threads` threads (the per-thread-histogram partition of
+ * Polychroniou & Ross, SIGMOD 2014). Row i is keys[i] plus row_bytes
+ * bytes at vals + i * row_bytes; rows go to okeys/ovals grouped by
+ * partition, in input order within one. bounds (F + 1 entries) receives
+ * the partition starts and n; hist (threads * F entries) is scratch.
+ * Thread t counts the partitions of the t-th contiguous chunk of the
+ * input; one exclusive scan in (partition, thread) order turns the
+ * counts into write cursors; each thread then scatters its own chunk.
+ * Chunk t's rows of a partition thus follow those of chunks before it:
+ * the output is that of one thread, byte for byte. The shift is unsigned
+ * and the mask keeps the id below F, so every key, negative or too
+ * large, lands in some partition: range checks belong to the caller.
  */
 void repro_partition(int64_t n, const int64_t *keys, const char *vals,
                      int64_t row_bytes, int64_t F, int64_t shift,
-                     int64_t *okeys, char *ovals, int64_t *bounds)
+                     int64_t *okeys, char *ovals, int64_t *bounds,
+                     int64_t threads, int64_t *hist)
 {
-    uint64_t mask = (uint64_t)F - 1;
-    memset(bounds, 0, (size_t)(F + 1) * sizeof *bounds);
-    for (int64_t i = 0; i < n; i++)
-        bounds[(((uint64_t)keys[i] >> shift) & mask) + 1]++;
-    for (int64_t p = 1; p <= F; p++)
-        bounds[p] += bounds[p - 1];
-    /* bounds[p] is partition p's write cursor: it ends at p + 1's start */
-    for (int64_t i = 0; i < n; i++) {
-        int64_t d = bounds[((uint64_t)keys[i] >> shift) & mask]++;
-        okeys[d] = keys[i];
-        if (row_bytes == 8)
-            memcpy(ovals + d * 8, vals + i * 8, 8);
-        else if (row_bytes == 4)
-            memcpy(ovals + d * 4, vals + i * 4, 4);
-        else
-            memcpy(ovals + d * row_bytes, vals + i * row_bytes,
-                   (size_t)row_bytes);
+    struct part_task task[MAX_THREADS];
+    int64_t Tn = clamp_threads(threads), pos = 0;
+    memset(hist, 0, (size_t)(Tn * F) * sizeof *hist);
+    for (int64_t t = 0; t < Tn; t++)
+        task[t] = (struct part_task){keys, vals, row_bytes, shift,
+                                     (uint64_t)F - 1, n * t / Tn,
+                                     n * (t + 1) / Tn, hist + t * F, okeys,
+                                     ovals};
+    run_tasks(Tn, part_count, task, sizeof *task);
+    for (int64_t p = 0; p < F; p++) {
+        bounds[p] = pos;
+        for (int64_t t = 0; t < Tn; t++) {
+            int64_t c = hist[t * F + p];
+            hist[t * F + p] = pos;
+            pos += c;
+        }
     }
-    memmove(bounds + 1, bounds, (size_t)F * sizeof *bounds);
-    bounds[0] = 0;
+    bounds[F] = n;
+    run_tasks(Tn, part_scatter, task, sizeof *task);
 }

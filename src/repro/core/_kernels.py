@@ -8,6 +8,9 @@ Python workers that load the kernels at the same time never see a
 half-written file. A C compiler on ``PATH`` is therefore a requirement
 of the buffered deposit, of ``GroupedBinnedAcc.finalize`` and of the
 radix partition; there is no fallback.
+
+Each kernel call runs on ``threads(rows)`` POSIX threads, worked out
+from the call's own input; the thread count changes no result bit.
 """
 from __future__ import annotations
 
@@ -26,7 +29,13 @@ from .params import FloatFormat
 _SRC = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 # no -ffast-math or -march=native: the deposit must round as written
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread", "-ffp-contract=off")
+
+#: rows (or slots) per kernel thread, at least, so that starting a thread
+#: stays a small share of the thread's work
+_ROWS_PER_THREAD = 1 << 16
+#: threads per kernel call, at most (MAX_THREADS in _kernels.c)
+_MAX_THREADS = 64
 
 _DEP_NONFINITE, _DEP_RANGE, _DEP_SLOT = 1, 2, 3
 
@@ -66,15 +75,28 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     for name in ("repro_deposit_f64", "repro_deposit_f32"):
         f = getattr(lib, name)
-        f.argtypes = [i64, ptr, ptr, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr]
+        f.argtypes = [i64, ptr, ptr, i64, i64, i64, i64, i64, ptr, ptr, ptr,
+                      i64, ptr]
         f.restype = ctypes.c_int
     for name in ("repro_finalize_f64", "repro_finalize_f32"):
         f = getattr(lib, name)
-        f.argtypes = [i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, i64, ptr]
+        f.argtypes = [i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr]
         f.restype = ctypes.c_int
-    lib.repro_partition.argtypes = [i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr]
+    lib.repro_partition.argtypes = [i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr,
+                                    i64, ptr]
     lib.repro_partition.restype = None
     return lib
+
+
+def threads(rows: int) -> int:
+    """Threads a kernel call over ``rows`` rows (or slots) runs on.
+
+    One per CPU this process may run on (its affinity, read on every
+    call), at most one per ``_ROWS_PER_THREAD`` rows and at most
+    ``_MAX_THREADS``, at least one.
+    """
+    return max(1, min(len(os.sched_getaffinity(0)), rows // _ROWS_PER_THREAD,
+                      _MAX_THREADS))
 
 
 @functools.cache
@@ -94,7 +116,10 @@ def deposit(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
     ``e_top (n_slots,)``, ``dev``/``C`` ``(L, n_slots)``: one value
     column of ``GroupedBinnedAcc``. Raises ``ValueError`` for NaN/Inf or
     a window outside the format's range, ``IndexError`` for a slot id
-    outside ``[0, n_slots)``.
+    outside ``[0, n_slots)``; the first such row in row order is the one
+    reported, whatever the thread count. Rows ordered on their slots'
+    high bits (partition-ordered or key-sorted) are deposited on
+    ``threads(len(v))`` threads; other rows on one.
     """
     ns = e_top.shape[0]
     _check_state(e_top, (ns,))
@@ -109,7 +134,7 @@ def deposit(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
     bad = ctypes.c_int64(0)
     rc = kernel(v.size, v.ctypes.data, slots.ctypes.data, ns, L, fmt.W,
                 fmt.e_top_max, fmt.e_bot_min, e_top.ctypes.data,
-                dev.ctypes.data, C.ctypes.data, ctypes.byref(bad))
+                dev.ctypes.data, C.ctypes.data, threads(v.size), ctypes.byref(bad))
     if rc == _DEP_NONFINITE:
         raise ValueError(
             "reproducible summation is defined for finite inputs only "
@@ -127,8 +152,8 @@ def finalize(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
     """Renormalise one column's state in place and round it into ``out``.
 
     ``out (n_slots,)`` in the format's dtype, any stride; bit for bit
-    ``finalize_state`` after ``renorm``. Raises ``ValueError`` for a live
-    window outside the format's range.
+    ``finalize_state`` after ``renorm``, on ``threads(n_slots)`` threads.
+    Raises ``ValueError`` for a live window outside the format's range.
     """
     ns = e_top.shape[0]
     _check_state(e_top, (ns,))
@@ -141,7 +166,7 @@ def finalize(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
     bad = ctypes.c_int64(0)
     rc = kernel(ns, L, fmt.W, fmt.e_top_max, fmt.e_bot_min, e_top.ctypes.data,
                 dev.ctypes.data, C.ctypes.data, out.ctypes.data,
-                out.strides[0] // out.itemsize, ctypes.byref(bad))
+                out.strides[0] // out.itemsize, threads(ns), ctypes.byref(bad))
     if rc == _DEP_RANGE:
         fmt.check_window(np.array([bad.value]), L)  # raises with the range
         raise RuntimeError(f"finalize kernel rejected window {bad.value}")
@@ -150,7 +175,8 @@ def finalize(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
 def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0):
     """Stable counting sort of ``(keys, values)`` rows on ``(key >> shift) & (F-1)``.
 
-    Returns ``(keys_part, values_part, bounds)``; see
+    Runs on ``threads(len(keys))`` threads; the output is the same for
+    any thread count. Returns ``(keys_part, values_part, bounds)``; see
     ``repro.aggregate.partition_agg.parallel_partition``. Any int64 key
     routes to a partition in ``[0, F)``, so keys are not checked here.
     """
@@ -164,7 +190,10 @@ def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0):
         raise TypeError("values must be a numeric array, not object dtype")
     out_k, out_v = np.empty_like(keys), np.empty_like(values)
     bounds = np.empty(F + 1, np.int64)
+    T = threads(keys.size)
+    hist = np.empty((T, F), np.int64)
     _lib().repro_partition(
         keys.size, keys.ctypes.data, values.ctypes.data, values.strides[0], F,
-        shift, out_k.ctypes.data, out_v.ctypes.data, bounds.ctypes.data)
+        shift, out_k.ctypes.data, out_v.ctypes.data, bounds.ctypes.data,
+        T, hist.ctypes.data)
     return out_k, out_v, bounds

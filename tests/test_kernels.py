@@ -1,6 +1,7 @@
 """The compiled deposit kernel (``update(fast=True)``) against the NumPy
 unbuffered path and Algorithm 2, its errors, and how it is built."""
 import ctypes
+import hashlib
 import os
 import subprocess
 import sys
@@ -266,6 +267,216 @@ def test_compiled_finalize_writes_every_column():
     assert np.all(got[40] == 0)  # an EMPTY slot
 
 
+# ------------------------------------------------------------- threads
+def _force_threads(mp: pytest.MonkeyPatch, T: int) -> None:
+    """Run every kernel call over at least T rows (or slots) on T threads:
+    T CPUs in the affinity, one row per thread. At most 4 threads start."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(T)))
+    mp.setattr(_kernels, "_ROWS_PER_THREAD", 1)
+    assert _kernels.threads(1000) == T
+
+
+def _same_bytes(xs, ys) -> bool:
+    return all(x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
+
+
+@pytest.mark.parametrize("T", [2, 3, 4])
+def test_partition_on_threads_matches_one_thread(T, monkeypatch):
+    """Byte for byte the output of one thread, which is the stable
+    counting sort, for any n, F, shift and row width."""
+    rng = np.random.default_rng(T)
+    for i in range(40):
+        n = int(rng.integers(0, 3000))
+        F, shift = 1 << int(rng.integers(0, 9)), int(rng.integers(0, 12))
+        keys = rng.integers(-50, 1 << 14, n)  # negative keys route too
+        vals = [rng.standard_normal(n), rng.standard_normal(n).astype(np.float32),
+                rng.standard_normal((n, 3))][i % 3]
+        _force_threads(monkeypatch, 1)
+        want = _kernels.partition(keys, vals, F, shift)
+        _force_threads(monkeypatch, T)
+        assert _same_bytes(_kernels.partition(keys, vals, F, shift), want)
+        order = np.argsort((keys.view(np.uint64) >> shift) & (F - 1), kind="stable")
+        assert _same_bytes(want[:2], (keys[order], vals[order]))
+
+
+def test_partition_with_fewer_rows_than_threads():
+    """The kernel itself, asked for 4 threads over 0..3 rows."""
+    lib = _kernels._lib()
+    for n in range(4):
+        keys = np.arange(n, dtype=np.int64)[::-1].copy()
+        vals = keys * 1.5
+        out_k, out_v = np.empty_like(keys), np.empty_like(vals)
+        bounds, hist = np.empty(5, np.int64), np.empty((4, 4), np.int64)
+        lib.repro_partition(n, keys.ctypes.data, vals.ctypes.data, 8, 4, 0,
+                            out_k.ctypes.data, out_v.ctypes.data,
+                            bounds.ctypes.data, 4, hist.ctypes.data)
+        assert _same_bytes((out_k, out_v, bounds), _kernels.partition(keys, vals, 4))
+
+
+def _layout(layout: str, keys, vals, G: int):
+    if layout == "partitioned":  # as partition_and_aggregate routes at d = 1
+        s = max(0, (G - 1).bit_length() - 4)
+        return _kernels.partition(keys, vals, 16, s)[:2]
+    if layout == "sorted":
+        order = np.argsort(keys, kind="stable")
+        return keys[order], vals[order]
+    return keys, vals  # unordered: every thread count reruns on one thread
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("L", [1, 2, 4])
+@pytest.mark.parametrize("layout", ["partitioned", "sorted", "unordered"])
+def test_deposit_on_threads_is_bit_equal(dtype, L, layout, monkeypatch):
+    """Bit-equal to one thread and to the NumPy path, for tables smaller
+    than the thread count, of odd sizes and of powers of two. Magnitudes
+    span 16 decades, so windows rise inside every thread's rows."""
+    rng = np.random.default_rng([L, len(layout)])
+    for G in (1, 3, 64, 1000):
+        n = 4000
+        keys = rng.integers(0, G, n)
+        vals = ((rng.random(n) + 1) * 10.0 ** rng.integers(-8, 9, n)
+                * rng.choice([-1.0, 1.0], n)).astype(dtype)
+        vals[rng.random(n) < 0.05] = 0
+        keys, vals = _layout(layout, keys, vals, G)
+        ref = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=G)
+        ref.update(keys, vals, fast=False)
+        for T in (1, 2, 3, 4):
+            _force_threads(monkeypatch, T)
+            acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=G)
+            acc.update(keys, vals)
+            assert _same_state(acc, ref), (G, T)
+            assert acc.finalize().tobytes() == ref.finalize().tobytes(), (G, T)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(grouped_batches(), st.integers(2, 4))
+def test_threaded_deposit_matches_unbuffered_and_algorithm2(case, T):
+    """The property above on key-sorted rows, so every group's windows
+    rise inside the thread that owns it, on 2-4 threads."""
+    dtype, L, G, keys, vals, _ = case
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    with pytest.MonkeyPatch.context() as mp:
+        _force_threads(mp, T)
+        fast = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=G).update(keys, vals)
+    ref = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=G)
+    ref.update(keys, vals, fast=False)
+    assert _same_state(fast, ref)
+    _, e, dev, C = fast.export_states()
+    for g in range(G):
+        se, sdev, sC = RsumScalar(L=L, dtype=dtype).add_many(vals[keys == g]).state()
+        assert se == e[g] and np.array_equal(sdev, dev[g]) and np.array_equal(sC, C[g])
+
+
+def test_deposit_splits_partitioned_rows_across_threads(monkeypatch):
+    """A probe that the bit checks above run the split and not only the
+    one-thread rerun: after a range error in thread 0's rows, the last
+    thread has raised its own slots' windows, which one thread, stopping
+    at the error, never reaches."""
+    fmt = fmt_for(np.float64)
+    keys = np.repeat(np.arange(16), 4)  # thread t of 4: slots 4t..4t+3
+    vals = np.ones(64)
+    vals[1] = 1e305
+    for T, reached in ((1, False), (4, True)):
+        _force_threads(monkeypatch, T)
+        e = np.full(16, EMPTY_E)
+        dev, C = np.zeros((2, 16), np.int64), np.zeros((2, 16), np.int64)
+        with pytest.raises(ValueError, match="outside supported range"):
+            _kernels.deposit(fmt, 2, e, dev, C, keys, vals)
+        assert (e[15] != EMPTY_E) == reached
+
+
+@pytest.mark.parametrize("early,late,exc", [
+    ("slot", "range", IndexError), ("range", "slot", ValueError),
+    ("slot", "nan", IndexError), ("nan", "slot", ValueError),
+    ("range", "nan", ValueError),
+])
+def test_first_error_in_row_order_is_reported(early, late, exc, monkeypatch):
+    """Two bad rows in the ranges of threads 0 and 3 of 4: every thread
+    count reports the early one, with the message of one thread."""
+    fmt = fmt_for(np.float64)
+
+    def run(T):
+        _force_threads(monkeypatch, T)
+        keys = np.repeat(np.arange(16), 4)
+        vals = np.ones(64)
+        for row, what in ((3, early), (60, late)):
+            if what == "slot":
+                keys[row] = 99
+            else:
+                vals[row] = 1e305 if what == "range" else np.nan
+        e = np.full(16, EMPTY_E)
+        dev, C = np.zeros((2, 16), np.int64), np.zeros((2, 16), np.int64)
+        with pytest.raises(exc) as info:
+            _kernels.deposit(fmt, 2, e, dev, C, keys, vals)
+        return str(info.value)
+
+    want = run(1)
+    assert {"slot": "99", "range": "outside supported range",
+            "nan": "finite"}[early] in want
+    for T in (2, 3, 4):
+        assert run(T) == want
+
+
+@pytest.mark.parametrize("dtype,L", [(np.float32, 3), (np.float64, 2), (np.float64, 5)])
+def test_finalize_on_threads_matches_finalize_state(dtype, L, monkeypatch):
+    fmt, e, dev, C = _crafted_states(dtype, L, 501, L)
+    rdev, rC = dev.copy(), C.copy()
+    renorm(rdev, rC, fmt)
+    want = finalize_state(fmt, L, e, rdev, rC)
+    for T in (1, 2, 3, 4):
+        _force_threads(monkeypatch, T)
+        acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=e.size)
+        acc.e_top[0], acc.dev[0], acc.C[0] = e, dev, C
+        assert acc.finalize()[:, 0].tobytes() == want.tobytes(), T
+        assert _same_bytes(acc.export_states()[1:], (e, rdev.T, rC.T)), T
+
+
+def test_finalize_reports_the_first_bad_window(monkeypatch):
+    """Bad windows in the slots of threads 1 and 3 of 4: every thread
+    count names the one of thread 1."""
+    fmt = fmt_for(np.float64)
+    acc = GroupedBinnedAcc(L=2, dense_n_groups=16).update(np.arange(16), np.ones(16))
+    acc.e_top[0, 5], acc.e_top[0, 14] = fmt.e_top_max + fmt.W, -2000
+    msgs = set()
+    for T in (1, 2, 3, 4):
+        _force_threads(monkeypatch, T)
+        with pytest.raises(ValueError, match="outside supported range") as info:
+            acc.finalize()
+        msgs.add(str(info.value))
+    assert len(msgs) == 1 and str(fmt.e_top_max + fmt.W) in msgs.pop()
+
+
+_PINNED = """
+import hashlib, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from repro.aggregate import partition_and_aggregate
+from repro.core import _kernels
+from repro.synth_data import np_groupby_input
+assert _kernels.threads(1 << 22) == 1, _kernels.threads(1 << 22)
+k, v = np_groupby_input(1 << 18, 1 << 12, dist="mixed", seed=5)
+acc = partition_and_aggregate(k, v, 1 << 12, kind="repro_buffered", L=2, d=1)
+print(hashlib.sha256(acc.result_bits() + acc.finalize().tobytes()).hexdigest())
+"""
+
+
+def test_thread_count_follows_cpu_affinity():
+    """A process pinned to one CPU runs every kernel on one thread and
+    gets the bits this process gets on up to four."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _PINNED], env=env, timeout=120,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    from repro.aggregate import partition_and_aggregate
+    from repro.synth_data import np_groupby_input
+    assert _kernels.threads(1 << 18) == min(4, len(os.sched_getaffinity(0)))
+    k, v = np_groupby_input(1 << 18, 1 << 12, dist="mixed", seed=5)
+    acc = partition_and_aggregate(k, v, 1 << 12, kind="repro_buffered", L=2, d=1)
+    want = hashlib.sha256(acc.result_bits() + acc.finalize().tobytes()).hexdigest()
+    assert out.stdout.strip() == want
+
+
 # -------------------------------------------------------- build tooling
 _LOAD = """
 import ctypes, sys
@@ -276,8 +487,10 @@ so = _kernels._artifact(Path(sys.argv[1]))
 lib = _kernels._declare(ctypes.CDLL(str(so)))
 keys = np.arange(10, dtype=np.int64)
 out, vals, bounds = np.empty(10, np.int64), np.empty(10), np.empty(3, np.int64)
+hist = np.empty(2, np.int64)
 lib.repro_partition(10, keys.ctypes.data, keys.ctypes.data, 8, 2, 0,
-                    out.ctypes.data, vals.ctypes.data, bounds.ctypes.data)
+                    out.ctypes.data, vals.ctypes.data, bounds.ctypes.data,
+                    1, hist.ctypes.data)
 assert bounds.tolist() == [0, 5, 10], bounds
 print(so)
 """

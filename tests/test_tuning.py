@@ -39,7 +39,7 @@ class TestEq4:
 class TestDepth:
     @pytest.mark.parametrize("kind,t1,t2", [
         ("builtin", 1 << 22, 1 << 26),
-        ("repro_buffered", 1 << 19, 1 << 24),
+        ("repro_buffered", 1 << 17, 1 << 24),
     ])
     def test_thresholds(self, kind, t1, t2):
         assert choose_depth(t1 - 1, kind) == 0
