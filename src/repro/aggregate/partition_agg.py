@@ -15,13 +15,23 @@
 
 The partitioning substrate is a compiled stable counting sort
 (``core/_kernels.c``) — the single-pass radix partition of [9, 31, 33]
-with per-thread histograms, run on the usable cores (see DESIGN.md §5);
-the deposit and finalize that follow split their work over the same
-threads by slot, so no two threads touch one group. It routes on
-``((uint64)key >> s) & (F - 1)``, which stays in bounds for any key, so
-the keys are checked once, by ``hash_aggregate``.
+with per-thread histograms and write-combined, streaming-store output,
+run on the usable cores (see DESIGN.md §5); the deposit and finalize
+that follow split their work over the same threads by slot, so no two
+threads touch one group. It routes on ``((uint64)key >> s) & (F - 1)``,
+which stays in bounds for any key, so the keys are checked once, by
+``hash_aggregate``.
+
+The partition writes into a per-thread scratch pair that every call on
+the thread reuses (16 bytes per row of the largest input the thread has
+partitioned, held until the thread exits), so a query pays for no fresh
+pages. ``hash_aggregate`` consumes the partitioned rows inside the call
+and no accumulator keeps the arrays its ``update`` receives, so a
+later call cannot change an earlier result.
 """
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -32,6 +42,26 @@ from .hash_agg import hash_aggregate
 from .tuning import FANOUT, choose_depth
 
 __all__ = ["parallel_partition", "partition_and_aggregate"]
+
+#: this thread's partition output, reused by every call on the thread
+_scratch = threading.local()
+
+
+def _partition_out(n: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's partition output for ``n`` rows like ``values``.
+
+    The arrays only grow: they are replaced only when ``n`` rows do not
+    fit or the value dtype or row shape differ, and held until the
+    thread exits. Reused, they are memory the kernel has written before,
+    so no call pays for fresh pages.
+    """
+    row = (values.dtype, values.shape[1:])
+    keys, vals = getattr(_scratch, "out", (None, None))
+    if keys is None or keys.size < n or (vals.dtype, vals.shape[1:]) != row:
+        _scratch.out = keys = vals = None  # free the old pair first
+        keys, vals = np.empty(n, np.int64), np.empty((n, *row[1]), row[0])
+        _scratch.out = keys, vals
+    return keys[:n], vals[:n]
 
 
 def parallel_partition(keys: np.ndarray, values: np.ndarray, F: int):
@@ -73,5 +103,7 @@ def partition_and_aggregate(
     F = min(FANOUT**d, 1 << 12)
     if F > 1:
         s = max(0, (n_groups - 1).bit_length() - (F.bit_length() - 1))
-        keys, values, _ = _kernels.partition(keys, values, F, s)
+        values = np.asarray(values)
+        out = _partition_out(len(keys), values)
+        keys, values, _ = _kernels.partition(keys, values, F, s, out=out)
     return hash_aggregate(keys, values, n_groups, kind=kind, **kw)

@@ -47,8 +47,9 @@ PAPER_DEPTH_THRESHOLDS = {
 #: than built-ins because their per-group state is (2L+1)x wider. The
 #: buffered type partitions earliest: only partition-ordered rows let its
 #: compiled deposit run on several threads. From 2^17 groups d = 1 beat
-#: d = 0 in every cell measured on 2 and 4 CPUs (EXPERIMENTS.md, Table
-#: III); on one CPU the crossover lies near 2^18 and depends on L.
+#: d = 0 in every cell measured on 2 and 4 CPUs, also with the
+#: write-combined partition, and below 2^17 it did not (EXPERIMENTS.md,
+#: Table III); on one CPU the crossover lies near 2^18 and depends on L.
 _DEPTH_THRESHOLDS = {
     "builtin": (1 << 22, 1 << 26),
     "decimal": (1 << 22, 1 << 26),

@@ -1,5 +1,6 @@
 /* Compiled kernels of the buffered reproducible deposit, of its
- * renormalise-and-round finalize, and of the radix partition. `_kernels.py`
+ * renormalise-and-round finalize, of the finiteness check before it, and
+ * of the radix partition. `_kernels.py`
  * builds this file on first use and calls it through ctypes, with the
  * number of threads each call runs on (see run_tasks).
  *
@@ -12,6 +13,9 @@
 #include <pthread.h>
 #include <stdint.h>
 #include <string.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 #define EMPTY_E INT64_MIN
 
@@ -438,8 +442,143 @@ DEFINE_DEPOSIT(repro_deposit_f32, float, efr_f32, extractor_f32, 23)
 DEFINE_FINALIZE(repro_finalize_f64, double, pow2, 52)
 DEFINE_FINALIZE(repro_finalize_f32, float, pow2f, 23)
 
-/* A thread's share of a partition: rows [lo, hi) and its F counters,
- * first the chunk's histogram, then its write cursors. */
+/* A thread's share of a finiteness scan: elements [lo, hi), and the
+ * first non-finite one among them (hi if none). */
+struct scan_task {
+    const void *v;
+    int64_t lo, hi, first;
+};
+
+/*
+ * Index of the first NaN or Inf among v[0..n), n if none, on `threads`
+ * threads, each scanning a contiguous chunk; the lowest chunk with one
+ * holds the first. A value is non-finite iff its exponent bits are all
+ * set.
+ */
+#define DEFINE_FIRST_NONFINITE(NAME, T, U, EXP)                               \
+    static void *NAME##_scan(void *arg)                                       \
+    {                                                                         \
+        struct scan_task *a = arg;                                            \
+        const T *v = a->v;                                                    \
+        int64_t i;                                                            \
+        for (i = a->lo; i < a->hi; i++) {                                     \
+            U b;                                                              \
+            memcpy(&b, &v[i], sizeof b);                                      \
+            if ((b & (EXP)) == (EXP))                                         \
+                break;                                                        \
+        }                                                                     \
+        a->first = i;                                                         \
+        return NULL;                                                          \
+    }                                                                         \
+                                                                              \
+    int64_t NAME(int64_t n, const T *v, int64_t threads)                      \
+    {                                                                         \
+        struct scan_task task[MAX_THREADS];                                   \
+        int64_t Tn = clamp_threads(threads), t;                               \
+        for (t = 0; t < Tn; t++)                                              \
+            task[t] = (struct scan_task){v, n * t / Tn, n * (t + 1) / Tn, 0}; \
+        run_tasks(Tn, NAME##_scan, task, sizeof *task);                       \
+        for (t = 0; t < Tn; t++) {                                            \
+            if (task[t].first < task[t].hi)                                   \
+                return task[t].first;                                         \
+        }                                                                     \
+        return n;                                                             \
+    }
+
+DEFINE_FIRST_NONFINITE(repro_first_nonfinite_f64, double, uint64_t,
+                       UINT64_C(0x7ff) << 52)
+DEFINE_FIRST_NONFINITE(repro_first_nonfinite_f32, float, uint32_t,
+                       UINT32_C(0xff) << 23)
+
+/* Bytes in a cache line: the unit the partition writes its output in. */
+#define LINE 64
+
+/* Write one full, line-aligned output line from a line buffer. Streaming
+ * stores skip the read-for-ownership a plain store of the line would pay
+ * (a plain 64-byte copy measured slower than the row-at-a-time scatter);
+ * this, with the fence in part_scatter, is the only architecture-specific
+ * piece of the partition. */
+static inline void store_line(char *dst, const char *line)
+{
+#ifdef __SSE2__
+    for (int k = 0; k < LINE; k += 16)
+        _mm_stream_si128((__m128i *)(dst + k),
+                         _mm_load_si128((const __m128i *)(line + k)));
+#else
+    memcpy(dst, line, LINE);
+#endif
+}
+
+/* Copy n bytes, a row or a piece of one: inline, as a call per row would
+ * cost more than the row's whole scatter. */
+static inline void copy_bytes(char *dst, const char *src, int64_t n)
+{
+    for (; n >= 8; n -= 8, dst += 8, src += 8)
+        memcpy(dst, src, 8);
+    if (n >= 4) {
+        memcpy(dst, src, 4);
+        n -= 4, dst += 4, src += 4;
+    }
+    for (; n > 0; n--)
+        *dst++ = *src++;
+}
+
+/*
+ * The rb bytes of src, bound for dst in the run of one output stream that
+ * starts at `start`, complete the line at dst - off: put them in the
+ * stream's line buffer and write out each line they complete. A line
+ * that holds only this run's bytes goes out as one streaming store; the
+ * run's first line, whose other bytes belong to other runs, as plain
+ * stores of the run's bytes alone. Rows complete a line once per
+ * LINE / rb rows or less, so this is kept out of the scatter loop.
+ */
+static __attribute__((noinline)) void wc_lines(char *line, char *start,
+                                               char *dst, const char *src,
+                                               int64_t rb, int64_t off)
+{
+    do {
+        int64_t piece = LINE - off;
+        char *ls = dst - off; /* the line's start */
+        copy_bytes(line + off, src, piece);
+        if (ls >= start)
+            store_line(ls, line);
+        else
+            memcpy(start, line + (start - ls), (size_t)(ls + LINE - start));
+        dst += piece;
+        src += piece;
+        rb -= piece;
+        off = 0;
+    } while (rb >= LINE);
+    copy_bytes(line, src, rb);
+}
+
+/* Put the rb bytes of src at dst through the stream's line buffer `line`:
+ * the byte for output address A goes to line[A % LINE]. A row may
+ * straddle lines. */
+static inline void wc_put(char *line, char *start, char *dst, const char *src,
+                          int64_t rb)
+{
+    int64_t off = (int64_t)((uintptr_t)dst & (LINE - 1));
+    if (off + rb < LINE)
+        copy_bytes(line + off, src, rb);
+    else
+        wc_lines(line, start, dst, src, rb, off);
+}
+
+/* Write out the last line of the run [start, end) if it is partial, as
+ * plain stores of the run's bytes alone. */
+static inline void wc_flush(const char *line, char *start, char *end)
+{
+    char *ls = end - ((uintptr_t)end & (LINE - 1));
+    char *from = ls > start ? ls : start;
+    if (end > from)
+        memcpy(from, line + (from - ls), (size_t)(end - from));
+}
+
+/* A thread's share of a partition: rows [lo, hi); its 2 * F counters,
+ * first the chunk's histogram (then its write cursors) and then its run
+ * starts; and its 2 * F line buffers, partition p's key line and then its
+ * value line. */
 struct part_task {
     const int64_t *keys;
     const char *vals;
@@ -447,8 +586,8 @@ struct part_task {
     uint64_t mask;
     int64_t lo, hi;
     int64_t *cur;
-    int64_t *okeys;
-    char *ovals;
+    char *lines;
+    char *okeys, *ovals;
 };
 
 static void *part_count(void *arg)
@@ -464,18 +603,26 @@ static void *part_scatter(void *arg)
     struct part_task *a = arg;
     const int64_t *keys = a->keys;
     const char *vals = a->vals;
-    int64_t rb = a->row_bytes, shift = a->shift, *cur = a->cur;
+    int64_t rb = a->row_bytes, shift = a->shift, F = (int64_t)a->mask + 1;
+    int64_t *cur = a->cur, *start = cur + F;
     uint64_t mask = a->mask;
+    char *okeys = a->okeys, *ovals = a->ovals, *lines = a->lines;
+    memcpy(start, cur, (size_t)F * sizeof *cur);
     for (int64_t i = a->lo; i < a->hi; i++) {
-        int64_t d = cur[((uint64_t)keys[i] >> shift) & mask]++;
-        a->okeys[d] = keys[i];
-        if (rb == 8)
-            memcpy(a->ovals + d * 8, vals + i * 8, 8);
-        else if (rb == 4)
-            memcpy(a->ovals + d * 4, vals + i * 4, 4);
-        else
-            memcpy(a->ovals + d * rb, vals + i * rb, (size_t)rb);
+        int64_t p = (int64_t)(((uint64_t)keys[i] >> shift) & mask);
+        int64_t d = cur[p]++, s = start[p];
+        char *kl = lines + 2 * p * LINE;
+        wc_put(kl, okeys + s * 8, okeys + d * 8, (const char *)(keys + i), 8);
+        wc_put(kl + LINE, ovals + s * rb, ovals + d * rb, vals + i * rb, rb);
     }
+    for (int64_t p = 0; p < F; p++) {
+        char *kl = lines + 2 * p * LINE;
+        wc_flush(kl, okeys + start[p] * 8, okeys + cur[p] * 8);
+        wc_flush(kl + LINE, ovals + start[p] * rb, ovals + cur[p] * rb);
+    }
+#ifdef __SSE2__
+    _mm_sfence(); /* the streaming stores, visible before the join */
+#endif
     return NULL;
 }
 
@@ -485,34 +632,41 @@ static void *part_scatter(void *arg)
  * Polychroniou & Ross, SIGMOD 2014). Row i is keys[i] plus row_bytes
  * bytes at vals + i * row_bytes; rows go to okeys/ovals grouped by
  * partition, in input order within one. bounds (F + 1 entries) receives
- * the partition starts and n; hist (threads * F entries) is scratch.
- * Thread t counts the partitions of the t-th contiguous chunk of the
- * input; one exclusive scan in (partition, thread) order turns the
+ * the partition starts and n. hist (threads * 2 * F entries) and lines
+ * (threads * 2 * F * LINE bytes, plus LINE spare bytes to align them) are
+ * scratch. Thread t counts the partitions of the t-th contiguous chunk of
+ * the input; one exclusive scan in (partition, thread) order turns the
  * counts into write cursors; each thread then scatters its own chunk.
  * Chunk t's rows of a partition thus follow those of chunks before it:
- * the output is that of one thread, byte for byte. The shift is unsigned
- * and the mask keeps the id below F, so every key, negative or too
- * large, lands in some partition: range checks belong to the caller.
+ * the output is that of one thread, byte for byte. The scatter combines
+ * writes (Balkesen et al., ICDE 2013): each thread fills a line buffer per
+ * partition and stream and writes each full line of its own rows out at
+ * once (see wc_lines), so those lines are never read for ownership.
+ * The shift is unsigned and the mask keeps the id below F, so every key,
+ * negative or too large, lands in some partition: range checks belong to
+ * the caller.
  */
 void repro_partition(int64_t n, const int64_t *keys, const char *vals,
                      int64_t row_bytes, int64_t F, int64_t shift,
                      int64_t *okeys, char *ovals, int64_t *bounds,
-                     int64_t threads, int64_t *hist)
+                     int64_t threads, int64_t *hist, char *lines)
 {
     struct part_task task[MAX_THREADS];
     int64_t Tn = clamp_threads(threads), pos = 0;
-    memset(hist, 0, (size_t)(Tn * F) * sizeof *hist);
+    lines += (LINE - (uintptr_t)lines % LINE) % LINE;
+    memset(hist, 0, (size_t)(Tn * 2 * F) * sizeof *hist);
     for (int64_t t = 0; t < Tn; t++)
         task[t] = (struct part_task){keys, vals, row_bytes, shift,
                                      (uint64_t)F - 1, n * t / Tn,
-                                     n * (t + 1) / Tn, hist + t * F, okeys,
+                                     n * (t + 1) / Tn, hist + t * 2 * F,
+                                     lines + t * 2 * F * LINE, (char *)okeys,
                                      ovals};
     run_tasks(Tn, part_count, task, sizeof *task);
     for (int64_t p = 0; p < F; p++) {
         bounds[p] = pos;
         for (int64_t t = 0; t < Tn; t++) {
-            int64_t c = hist[t * F + p];
-            hist[t * F + p] = pos;
+            int64_t c = task[t].cur[p];
+            task[t].cur[p] = pos;
             pos += c;
         }
     }

@@ -1,4 +1,7 @@
-"""Compiled deposit, finalize and partition kernels (``_kernels.c``) through ctypes.
+"""Compiled kernels (``_kernels.c``) through ctypes.
+
+The buffered deposit, its finalize, the finiteness scan before it and the
+radix partition.
 
 The C source is compiled on first use with ``cc`` into a shared object
 named by the hash of the source and the flags, under this package's
@@ -6,7 +9,8 @@ named by the hash of the source and the flags, under this package's
 writes to a temporary file that is then renamed into place, so Spark's
 Python workers that load the kernels at the same time never see a
 half-written file. A C compiler on ``PATH`` is therefore a requirement
-of the buffered deposit, of ``GroupedBinnedAcc.finalize`` and of the
+of the buffered deposit, of the finiteness check of every
+``GroupedBinnedAcc.update``, of ``GroupedBinnedAcc.finalize`` and of the
 radix partition; there is no fallback.
 
 Each kernel call runs on ``threads(rows)`` POSIX threads, worked out
@@ -17,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import subprocess
 import tempfile
@@ -36,6 +41,8 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread", "-ffp-contract=off")
 _ROWS_PER_THREAD = 1 << 16
 #: threads per kernel call, at most (MAX_THREADS in _kernels.c)
 _MAX_THREADS = 64
+#: bytes in a cache line (LINE in _kernels.c)
+_LINE = 64
 
 _DEP_NONFINITE, _DEP_RANGE, _DEP_SLOT = 1, 2, 3
 
@@ -82,8 +89,12 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         f = getattr(lib, name)
         f.argtypes = [i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr]
         f.restype = ctypes.c_int
+    for name in ("repro_first_nonfinite_f64", "repro_first_nonfinite_f32"):
+        f = getattr(lib, name)
+        f.argtypes = [i64, ptr, i64]
+        f.restype = i64
     lib.repro_partition.argtypes = [i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr,
-                                    i64, ptr]
+                                    i64, ptr, ptr]
     lib.repro_partition.restype = None
     return lib
 
@@ -172,13 +183,35 @@ def finalize(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
         raise RuntimeError(f"finalize kernel rejected window {bad.value}")
 
 
-def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0):
+def first_nonfinite(v: np.ndarray) -> int:
+    """Index of the first NaN or Inf of ``v`` in memory order, ``v.size`` if none.
+
+    ``v``: a C- or Fortran-contiguous float32 or float64 array. Scans on
+    ``threads(v.size)`` threads and allocates nothing per element.
+    """
+    if v.dtype not in (np.float32, np.float64) or not (
+            v.flags.c_contiguous or v.flags.f_contiguous):
+        raise ValueError("expected a contiguous float32 or float64 array")
+    kernel = _lib().repro_first_nonfinite_f64 if v.dtype == np.float64 \
+        else _lib().repro_first_nonfinite_f32
+    return kernel(v.size, v.ctypes.data, threads(v.size))
+
+
+def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
+              *, out: tuple[np.ndarray, np.ndarray] | None = None):
     """Stable counting sort of ``(keys, values)`` rows on ``(key >> shift) & (F-1)``.
 
     Runs on ``threads(len(keys))`` threads; the output is the same for
     any thread count. Returns ``(keys_part, values_part, bounds)``; see
     ``repro.aggregate.partition_agg.parallel_partition``. Any int64 key
     routes to a partition in ``[0, F)``, so keys are not checked here.
+
+    ``out=(keys_out, values_out)`` receives the rows instead of two new
+    arrays, which are then returned: C-contiguous, of the shape and dtype
+    of the (int64) keys and of the values, sharing no memory with the
+    input or with each other (else ``ValueError``). The kernel writes the
+    output a cache line at a time with streaming stores, so memory that
+    is already mapped, such as a reused ``out``, takes it fastest.
     """
     if F < 1 or F & (F - 1):
         raise ValueError("fan-out must be a power of two")
@@ -188,12 +221,31 @@ def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0):
         raise ValueError("keys must be 1-D and values must have one row per key")
     if values.dtype.hasobject:
         raise TypeError("values must be a numeric array, not object dtype")
-    out_k, out_v = np.empty_like(keys), np.empty_like(values)
+    if out is None:
+        out_k, out_v = np.empty_like(keys), np.empty_like(values)
+    else:
+        out_k, out_v = out
+        _check_out(out_k, keys, "keys")
+        _check_out(out_v, values, "values")
+        if any(np.may_share_memory(a, b) for a, b in (
+                (out_k, out_v), (out_k, keys), (out_k, values),
+                (out_v, keys), (out_v, values))):
+            raise ValueError("out must share no memory with the input or itself")
+    # not values.strides[0]: NumPy gives a one-row array any row stride
+    row_bytes = values.itemsize * math.prod(values.shape[1:])
     bounds = np.empty(F + 1, np.int64)
     T = threads(keys.size)
-    hist = np.empty((T, F), np.int64)
+    hist = np.empty((T, 2, F), np.int64)
+    lines = np.empty(T * 2 * F * _LINE + _LINE, np.uint8)  # + _LINE to align
     _lib().repro_partition(
-        keys.size, keys.ctypes.data, values.ctypes.data, values.strides[0], F,
+        keys.size, keys.ctypes.data, values.ctypes.data, row_bytes, F,
         shift, out_k.ctypes.data, out_v.ctypes.data, bounds.ctypes.data,
-        T, hist.ctypes.data)
+        T, hist.ctypes.data, lines.ctypes.data)
     return out_k, out_v, bounds
+
+
+def _check_out(o: np.ndarray, like: np.ndarray, name: str) -> None:
+    if not (isinstance(o, np.ndarray) and o.dtype == like.dtype
+            and o.shape == like.shape and o.flags.c_contiguous):
+        raise ValueError(f"out for the {name} must be a C-contiguous "
+                         f"{like.dtype.name} array of shape {like.shape}")

@@ -120,10 +120,12 @@ def _rank_within(slots: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+    """Raise unless every value of the contiguous float array is finite."""
+    i = _kernels.first_nonfinite(values)
+    if i < values.size:
         raise ValueError(
             "reproducible summation is defined for finite inputs only "
-            "(got NaN/Inf)"
+            f"(got {values.ravel(order='K')[i]})"
         )
 
 

@@ -149,6 +149,22 @@ def test_nonfinite_raises_and_leaves_state_untouched(bad, calls_of, monkeypatch)
         assert np.array_equal(x, y)
 
 
+def test_finiteness_check_allocates_no_temporary():
+    """The check before a deposit is one compiled scan: no per-value
+    temporary, as ``np.isfinite`` would make."""
+    import tracemalloc
+    from repro.core import binned
+    vals = np.ones((1 << 20, 1))
+    binned._check_finite(vals)  # load the kernels first
+    tracemalloc.start()
+    try:
+        binned._check_finite(vals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+
+
 def test_kernel_itself_rejects_nonfinite():
     fmt = fmt_for(np.float64)
     e, dev, C = np.full(1, EMPTY_E), np.zeros((2, 1), np.int64), np.zeros((2, 1), np.int64)
@@ -280,6 +296,11 @@ def _same_bytes(xs, ys) -> bool:
     return all(x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
 
 
+def _argsort_partition(keys, vals, F, shift):
+    order = np.argsort((keys.view(np.uint64) >> shift) & (F - 1), kind="stable")
+    return keys[order], vals[order]
+
+
 @pytest.mark.parametrize("T", [2, 3, 4])
 def test_partition_on_threads_matches_one_thread(T, monkeypatch):
     """Byte for byte the output of one thread, which is the stable
@@ -295,8 +316,7 @@ def test_partition_on_threads_matches_one_thread(T, monkeypatch):
         want = _kernels.partition(keys, vals, F, shift)
         _force_threads(monkeypatch, T)
         assert _same_bytes(_kernels.partition(keys, vals, F, shift), want)
-        order = np.argsort((keys.view(np.uint64) >> shift) & (F - 1), kind="stable")
-        assert _same_bytes(want[:2], (keys[order], vals[order]))
+        assert _same_bytes(want[:2], _argsort_partition(keys, vals, F, shift))
 
 
 def test_partition_with_fewer_rows_than_threads():
@@ -306,11 +326,148 @@ def test_partition_with_fewer_rows_than_threads():
         keys = np.arange(n, dtype=np.int64)[::-1].copy()
         vals = keys * 1.5
         out_k, out_v = np.empty_like(keys), np.empty_like(vals)
-        bounds, hist = np.empty(5, np.int64), np.empty((4, 4), np.int64)
+        bounds, hist = np.empty(5, np.int64), np.empty((4, 2, 4), np.int64)
+        lines = np.empty(4 * 2 * 4 * 64 + 64, np.uint8)
         lib.repro_partition(n, keys.ctypes.data, vals.ctypes.data, 8, 4, 0,
                             out_k.ctypes.data, out_v.ctypes.data,
-                            bounds.ctypes.data, 4, hist.ctypes.data)
+                            bounds.ctypes.data, 4, hist.ctypes.data,
+                            lines.ctypes.data)
         assert _same_bytes((out_k, out_v, bounds), _kernels.partition(keys, vals, 4))
+
+
+def _at_offset(buf: np.ndarray, off: int, like: np.ndarray) -> np.ndarray:
+    """An empty C-contiguous array like ``like`` that starts ``off`` bytes
+    past a cache line, in ``buf``."""
+    base = -buf.ctypes.data % 64 + off
+    return buf[base:base + like.nbytes].view(like.dtype).reshape(like.shape)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_scatter_matches_stable_argsort(T, monkeypatch):
+    """The write-combined scatter against a stable argsort on the partition
+    id, byte for byte: 2-, 4-, 8-, 12- and 24-byte rows (rows straddle lines),
+    output lines shared between threads and partitions, runs shorter than a
+    line (keys dealt round-robin: each partition gets n / F rows) and all
+    rows in one partition, written into ``out`` arrays at every 8-byte
+    offset from a line, the keys and values at different offsets."""
+    _force_threads(monkeypatch, T)
+    rng = np.random.default_rng(T)
+    buf_k, buf_v = np.empty(8 * 70_000 + 128, np.uint8), np.empty(24 * 70_000 + 128, np.uint8)
+    case = 0
+    for n in (0, 1, 7, 8, 9, 63, 64, 65, (1 << 16) + 3):
+        for F in (1, 2, 256, 4096):
+            shift = int(rng.integers(0, 4))
+            for keys in (rng.integers(-(1 << 20), 1 << 20, n),  # negative keys route too
+                         np.arange(n, dtype=np.int64) << shift,
+                         np.full(n, 5 << shift, np.int64)):
+                for vals in (rng.integers(-1000, 1000, n).astype(np.int16),
+                             rng.standard_normal(n).astype(np.float32),
+                             rng.standard_normal(n),
+                             rng.standard_normal((n, 3)).astype(np.float32),
+                             rng.standard_normal((n, 3))):
+                    ok = 8 * (case % 8)
+                    ov = (ok + 8 * (1 + case // 8 % 7)) % 64
+                    case += 1
+                    out = (_at_offset(buf_k, ok, keys), _at_offset(buf_v, ov, vals))
+                    pk, pv, bounds = _kernels.partition(keys, vals, F, shift, out=out)
+                    assert pk is out[0] and pv is out[1]
+                    assert _same_bytes((pk, pv), _argsort_partition(keys, vals, F, shift))
+                    ids = (keys.view(np.uint64) >> shift) & (F - 1)
+                    counts = np.bincount(ids.astype(np.int64), minlength=F)
+                    assert np.array_equal(bounds, np.r_[0, np.cumsum(counts)])
+
+
+@pytest.mark.parametrize("ok", range(0, 64, 8))
+def test_scatter_at_every_line_offset(ok, monkeypatch):
+    """Every pair of distinct 8-byte offsets of the key and value outputs
+    from a cache line, on 4 threads, fresh output too; rows of 8, 12 and
+    80 bytes (one row spans up to three lines)."""
+    _force_threads(monkeypatch, 4)
+    rng = np.random.default_rng(ok)
+    n = 5000
+    keys = rng.integers(0, 1 << 12, n)
+    buf_k, buf_v = np.empty(8 * n + 128, np.uint8), np.empty(80 * n + 128, np.uint8)
+    for vals in (rng.standard_normal(n), rng.standard_normal((n, 3)).astype(np.float32),
+                 rng.standard_normal((n, 10))):
+        want = _argsort_partition(keys, vals, 64, 6)
+        assert _same_bytes(_kernels.partition(keys, vals, 64, 6)[:2], want)
+        for ov in range(0, 64, 8):
+            if ov != ok:
+                out = (_at_offset(buf_k, ok, keys), _at_offset(buf_v, ov, vals))
+                assert _same_bytes(_kernels.partition(keys, vals, 64, 6, out=out)[:2], want)
+
+
+_K, _V = np.zeros(10, np.int64), np.zeros(10)
+_W = np.zeros(20, np.int64)
+#: (values, out) that partition must reject, for the keys np.arange(10)
+_BAD_OUT = {
+    "short keys": lambda k, v: (v, (_K[:9], _V)),
+    "2-D values": lambda k, v: (v, (_K, np.empty((10, 1)))),
+    "int32 keys": lambda k, v: (v, (_K.astype(np.int32), _V)),
+    "float32 values": lambda k, v: (v, (_K, _V.astype(np.float32))),
+    "strided keys": lambda k, v: (v, (_W[::2], _V)),
+    "strided values": lambda k, v: (v, (_K, _W[::2].view(np.float64))),
+    "Fortran rows": lambda k, v: (v.reshape(5, 2),
+                                  (_K[:5], np.asfortranarray(np.empty((5, 2))))),
+    "not an array": lambda k, v: (v, (list(range(10)), _V)),
+    "keys over the input keys": lambda k, v: (v, (k, _V)),
+    "values over the input keys": lambda k, v: (v, (_K, k.view(np.float64))),
+    "keys over the input values": lambda k, v: (v, (v.view(np.int64), _V)),
+    "values over the input values": lambda k, v: (v, (_K, v)),
+    "keys over the values": lambda k, v: (v, (_W[:10], _W[5:15].view(np.float64))),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_OUT))
+def test_partition_out_is_checked(case):
+    """A wrong shape, dtype or layout of ``out``, or ``out`` that may share
+    memory with the input or with itself, raises before any write."""
+    keys, vals = np.arange(10, dtype=np.int64), np.arange(10.0)
+    vals, out = _BAD_OUT[case](keys, vals)
+    keys = keys[:vals.shape[0]]
+    before = keys.copy(), vals.copy()
+    with pytest.raises(ValueError, match="out"):
+        _kernels.partition(keys, vals, 4, out=out)
+    assert _same_bytes((keys, vals), before)
+
+
+def test_partition_of_one_row_with_a_wide_stride():
+    """A one-row view of a strided array is contiguous with any row stride;
+    the kernel copies the row's own bytes, not the stride's."""
+    base = np.arange(30.0).reshape(10, 3)
+    for vals in (base[::5, 0][1:], base[::5][1:]):
+        keys = np.array([7])
+        buf = np.full(vals.nbytes + 64, 0xAB, np.uint8)
+        out = (np.empty(1, np.int64), buf[:vals.nbytes].view(vals.dtype).reshape(vals.shape))
+        pk, pv, bounds = _kernels.partition(keys, vals, 4, out=out)
+        assert pk.tolist() == [7] and np.array_equal(pv, vals)
+        assert bounds.tolist() == [0, 0, 0, 0, 1]
+        assert np.all(buf[vals.nbytes:] == 0xAB)  # nothing written past the row
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_first_nonfinite_in_memory_order(T, dtype, monkeypatch):
+    """The first NaN/Inf in memory order wherever the threads' chunks
+    split, also with a later one behind it; the size if there is none."""
+    _force_threads(monkeypatch, T)
+    rng = np.random.default_rng(T)
+    v = rng.standard_normal(1001).astype(dtype)
+    assert _kernels.first_nonfinite(v) == v.size
+    assert _kernels.first_nonfinite(v[:0]) == 0
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in (0, 1, 249, 250, 251, 333, 334, 500, 999, 1000):
+            w = v.copy()
+            w[i], w[min(i + 300, 1000)] = bad, np.nan
+            assert _kernels.first_nonfinite(w) == i
+    fi = np.finfo(dtype)
+    edge = np.array([0.0, -0.0, fi.tiny / 4, fi.max, -fi.max, fi.tiny], dtype)
+    assert _kernels.first_nonfinite(edge) == edge.size  # subnormals are finite
+    m = np.asfortranarray(rng.standard_normal((100, 3)).astype(dtype))
+    m[7, 2], m[50, 0] = np.nan, np.inf
+    assert _kernels.first_nonfinite(m) == 50  # column 0 comes first
+    with pytest.raises(ValueError, match="contiguous"):
+        _kernels.first_nonfinite(v[::2])
 
 
 def _layout(layout: str, keys, vals, G: int):
@@ -487,10 +644,10 @@ so = _kernels._artifact(Path(sys.argv[1]))
 lib = _kernels._declare(ctypes.CDLL(str(so)))
 keys = np.arange(10, dtype=np.int64)
 out, vals, bounds = np.empty(10, np.int64), np.empty(10), np.empty(3, np.int64)
-hist = np.empty(2, np.int64)
+hist, lines = np.empty(4, np.int64), np.empty(4 * 64 + 64, np.uint8)
 lib.repro_partition(10, keys.ctypes.data, keys.ctypes.data, 8, 2, 0,
                     out.ctypes.data, vals.ctypes.data, bounds.ctypes.data,
-                    1, hist.ctypes.data)
+                    1, hist.ctypes.data, lines.ctypes.data)
 assert bounds.tolist() == [0, 5, 10], bounds
 print(so)
 """

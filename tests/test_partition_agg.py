@@ -155,3 +155,61 @@ def test_high_digit_routing_owns_contiguous_slices():
         assert np.all(pk[bounds[p]:bounds[p + 1]] >> 2 == p)
     order = np.argsort(keys >> 2, kind="stable")
     assert np.array_equal(pk, keys[order]) and np.array_equal(pv, vals[order])
+
+
+_KINDS = [("builtin", {}), ("builtin", {"dtype": np.float32}), ("decimal", {"p": 19}),
+          ("repro", {"L": 2}), ("repro_buffered", {"L": 2})]
+
+
+@pytest.mark.parametrize("kind,kw", _KINDS)
+def test_partition_output_reuse_keeps_bits(kind, kw):
+    """Calls back to back on one thread (large, small, another value dtype,
+    large again) share the partition output; each result is bit-equal to
+    ``hash_aggregate`` on the unpartitioned rows, and no later call
+    changes an earlier result."""
+    dist = "prices" if kind == "decimal" else "mixed"
+    runs = []
+    for n, G, dtype in ((40_000, 3000, np.float64), (3_000, 500, np.float64),
+                        (20_000, 3000, np.float32), (40_000, 3000, np.float64)):
+        keys, vals = np_groupby_input(n, G, dist=dist, seed=n + G)
+        vals = vals.astype(dtype)
+        acc = partition_and_aggregate(keys, vals, G, kind=kind, d=1, **kw)
+        want = hash_aggregate(keys, vals, G, kind=kind, **kw).result_bits()
+        assert acc.result_bits() == want
+        runs.append((acc, want))
+    assert all(acc.result_bits() == want for acc, want in runs)
+
+
+def test_concurrent_calls_on_two_threads():
+    """Two Python threads run the operator at once on different inputs
+    (the kernels release the interpreter lock), each with its own
+    partition output: every result keeps its bits."""
+    import sys
+    import threading
+    G, rounds = 1 << 14, 12
+    inputs = [np_groupby_input((1 << 17) + 5000 * t, G, dist="mixed", seed=t)
+              for t in range(2)]
+    want = [hash_aggregate(k, v, G, kind="repro", L=2).result_bits()
+            for k, v in inputs]
+    got = [[], []]
+    start = threading.Barrier(2, timeout=60)
+
+    def run(t):
+        k, v = inputs[t]
+        start.wait()
+        for _ in range(rounds):
+            got[t].append(partition_and_aggregate(k, v, G, kind="repro_buffered",
+                                                  d=1, L=2).result_bits())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == [[want[0]] * rounds, [want[1]] * rounds]
