@@ -13,7 +13,7 @@ from .accumulators import (
     make_acc,
 )
 from .hash_agg import hash_aggregate
-from .partition_agg import parallel_partition, partition_and_aggregate
+from .partition_agg import partition_and_aggregate
 from .sort_agg import sort_aggregate
 from .tuning import BSZ_MAX, CACHE_BYTES, FANOUT, choose_depth, eq4_bsz
 
@@ -24,7 +24,6 @@ __all__ = [
     "BufferedReproAcc",
     "make_acc",
     "hash_aggregate",
-    "parallel_partition",
     "partition_and_aggregate",
     "sort_aggregate",
     "choose_depth",

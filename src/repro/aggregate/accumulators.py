@@ -12,9 +12,8 @@ HASHAGGREGATION / PARTITIONANDAGGREGATE:
 * ``update(idx, vals)`` — scatter a batch of values into table rows;
 * ``merge_from(other, base, stride=1)`` — fold a private table into a
   shared one, placing other's row ``i`` at ``base + i * stride`` (the
-  transfer phase of the paper's Algorithm 4; ``partition_and_aggregate``
-  needs none, since each partition owns a contiguous slice of the
-  shared table and deposits into it directly);
+  transfer phase of the paper's Algorithm 4, which
+  ``partition_and_aggregate`` does not need; only perfbench calls it);
 * ``finalize()`` — per-row sums as float64 for comparison;
 * ``result_bits()`` — a canonical byte-level representation used by the
   reproducibility tests (bit-pattern equality, not approximate).
@@ -49,6 +48,7 @@ class BuiltinAcc:
     def update(self, idx: np.ndarray, vals: np.ndarray) -> None:
         np.add.at(self.table, idx, vals.astype(self.table.dtype, copy=False))
 
+    # the traced perfbench run reads this; goes after ROADMAP item 1
     def merge_from(self, other: "BuiltinAcc", base: int, stride: int = 1) -> None:
         dst = self.table[base::stride]
         n = min(dst.size, other.table.size)  # last partition may be short
@@ -101,6 +101,7 @@ class DecimalAcc:
         else:
             np.add.at(self.table, idx, x.astype(self.table.dtype, copy=False))
 
+    # the traced perfbench run reads this; goes after ROADMAP item 1
     def merge_from(self, other: "DecimalAcc", base: int, stride: int = 1) -> None:
         if self._two_limb:
             dst_lo, dst_hi = self.lo[base::stride], self.hi[base::stride]
@@ -146,6 +147,7 @@ class ReproAcc:
             idx, np.asarray(vals, self.acc.fmt.dtype), fast=False
         )
 
+    # the traced perfbench run reads this; goes after ROADMAP item 1
     def merge_from(self, other: "ReproAcc", base: int, stride: int = 1) -> None:
         # a transfer phase over disjoint groups: private states are
         # adopted into the shared table directly

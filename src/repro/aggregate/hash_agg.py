@@ -6,7 +6,7 @@ aggregate by key and fold the value in. Keys are dense ints in
 setup: "we use IDENTITYHASHING … not unrealistic in column stores,
 where dense ranges are common due to domain encoding"), so the hash
 table is a dense array indexed by key. Input is processed in batches of
-``batch`` elements to model streaming execution.
+``BATCH`` elements to model streaming execution.
 """
 from __future__ import annotations
 
@@ -16,6 +16,9 @@ from .accumulators import make_acc
 
 __all__ = ["check_input", "hash_aggregate"]
 
+#: rows per ``update`` of the NumPy kinds; the batch size changes no bit
+BATCH = 1 << 16
+
 
 def hash_aggregate(
     keys: np.ndarray,
@@ -23,7 +26,6 @@ def hash_aggregate(
     n_groups: int,
     *,
     kind: str = "builtin",
-    batch: int = 1 << 16,
     **acc_kw,
 ):
     """Aggregate ``values`` by dense ``keys``; returns the accumulator.
@@ -32,16 +34,16 @@ def hash_aggregate(
     ``accumulators.make_acc``). The returned accumulator exposes
     ``finalize()`` (float64 sums) and ``result_bits()``. A key outside
     ``[0, n_groups)`` raises ``IndexError``; this is the operators' one
-    key check. ``batch`` is the number of rows per ``update`` of the
-    NumPy kinds; ``repro_buffered`` deposits the whole input in one
-    ``update``, which ``GroupedBinnedAcc.update_slots`` cuts into kernel
-    calls of at most 2**22 rows.
+    key check. The NumPy kinds take ``BATCH`` rows per ``update``;
+    ``repro_buffered`` deposits the whole input in one ``update``, which
+    ``GroupedBinnedAcc.update_slots`` cuts into kernel calls of at most
+    2**22 rows.
     """
     keys = np.asarray(keys, np.int64)
     values = np.asarray(values)
     check_input(keys, values, n_groups)
     acc = make_acc(kind, n_groups, **acc_kw)
-    step = keys.size if kind == "repro_buffered" else batch
+    step = keys.size if kind == "repro_buffered" else BATCH
     for i in range(0, keys.size, max(step, 1)):
         acc.update(keys[i : i + step], values[i : i + step])
     return acc

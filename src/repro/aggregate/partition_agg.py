@@ -36,7 +36,7 @@ import threading
 import numpy as np
 
 from ..core import _kernels
-# make_acc: not called here, but perfbench/local.py traces this name
+# not called here: the traced perfbench run reads it; goes after ROADMAP item 1
 from .accumulators import make_acc  # noqa: F401
 from .hash_agg import hash_aggregate
 from .tuning import FANOUT, choose_depth
@@ -64,14 +64,9 @@ def _partition_out(n: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[:n], vals[:n]
 
 
+# not called here: the traced perfbench run reads it; goes after ROADMAP item 1
 def parallel_partition(keys: np.ndarray, values: np.ndarray, F: int):
-    """Partition <key,value> pairs on ``key mod F``; F must be a power of two.
-
-    Returns ``(keys_part, values_part, bounds)`` where partition ``p``
-    occupies ``slice(bounds[p], bounds[p+1])`` and rows are grouped by
-    partition (stable within a partition, like the paper's partitioning
-    routine which concatenates per-thread sub-partitions).
-    """
+    """``_kernels.partition`` on ``key mod F``; F must be a power of two."""
     return _kernels.partition(keys, values, F)
 
 
@@ -87,9 +82,9 @@ def partition_and_aggregate(
     """Algorithm 4 over dense keys in [0, n_groups); returns the shared table.
 
     ``d`` (levels of partitioning) defaults to the offline thresholds of
-    ``tuning.choose_depth``. ``kind`` and ``kw`` (``batch`` and the
-    accumulator's own arguments) go to ``hash_aggregate``, which raises
-    ``IndexError`` for a key outside ``[0, n_groups)``.
+    ``tuning.choose_depth``. ``kind`` and ``kw`` (the accumulator's own
+    arguments) go to ``hash_aggregate``, which raises ``IndexError`` for
+    a key outside ``[0, n_groups)``.
     """
     if d is None:
         d = choose_depth(n_groups, kind)

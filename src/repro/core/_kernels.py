@@ -3,14 +3,11 @@
 The buffered deposit, its finalize, the finiteness scan before it and the
 radix partition.
 
-The C source is compiled on first use with ``cc`` into a shared object
-named by the hash of the source and the flags, under this package's
-``__pycache__``; later loads, in any process, reuse it. The compiler
-writes to a temporary file that is then renamed into place, so Spark's
-Python workers that load the kernels at the same time never see a
-half-written file. A C compiler on ``PATH`` is therefore a requirement
-of the buffered deposit, of the finiteness check of every
-``GroupedBinnedAcc.update``, of ``GroupedBinnedAcc.finalize`` and of the
+The C source is compiled on first use with ``cc`` into
+``__pycache__/_kernels-<hash of source and flags>.so`` by the
+compile-once cache of :mod:`repro._build`, which Spark's Python workers
+may enter at the same time. A C compiler on ``PATH`` is therefore a
+requirement of every ``GroupedBinnedAcc`` deposit and finalize and of the
 radix partition; there is no fallback.
 
 Each kernel call runs on ``threads(rows)`` POSIX threads, worked out
@@ -23,12 +20,11 @@ import functools
 import hashlib
 import math
 import os
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from .. import _build
 from .params import FloatFormat
 
 _SRC = Path(__file__).with_name("_kernels.c")
@@ -51,48 +47,26 @@ def _artifact(cache_dir: Path = _CACHE) -> Path:
     """Path of the compiled kernels in ``cache_dir``, compiling if missing."""
     src = _SRC.read_bytes()
     tag = hashlib.sha256(src + " ".join(_CFLAGS).encode()).hexdigest()[:16]
-    so = Path(cache_dir) / f"_kernels-{tag}.so"
-    if so.exists():
+
+    def build(tmp: Path) -> Path:
+        so = tmp / "_kernels.so"
+        # compile the bytes that were hashed, read from stdin
+        _build.run(["cc", *_CFLAGS, "-o", str(so), "-x", "c", "-"],
+                   f"compiling {_SRC.name}",
+                   f"repro needs a C compiler on PATH to build {_SRC.name}", src)
         return so
-    so.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=so.parent, prefix=f"{so.stem}.", suffix=".tmp")
-    os.close(fd)
-    # compile the bytes that were hashed, read from stdin
-    cmd = ["cc", *_CFLAGS, "-o", tmp, "-x", "c", "-"]
-    try:
-        subprocess.run(cmd, input=src, check=True, capture_output=True)
-        os.replace(tmp, so)
-    except FileNotFoundError:
-        raise RuntimeError(
-            f"repro needs a C compiler on PATH to build {_SRC.name}: "
-            f"{' '.join(cmd)} could not start"
-        ) from None
-    except subprocess.CalledProcessError as exc:
-        raise RuntimeError(
-            f"compiling {_SRC.name} failed: {' '.join(cmd)}\n"
-            f"{exc.stderr.decode(errors='replace')}"
-        ) from None
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return so
+
+    return _build.cached(Path(cache_dir) / f"_kernels-{tag}.so", build)
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    for name in ("repro_deposit_f64", "repro_deposit_f32"):
-        f = getattr(lib, name)
-        f.argtypes = [i64, ptr, ptr, i64, i64, i64, i64, i64, ptr, ptr, ptr,
-                      i64, ptr]
-        f.restype = ctypes.c_int
-    for name in ("repro_finalize_f64", "repro_finalize_f32"):
-        f = getattr(lib, name)
-        f.argtypes = [i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr]
-        f.restype = ctypes.c_int
-    for name in ("repro_first_nonfinite_f64", "repro_first_nonfinite_f32"):
-        f = getattr(lib, name)
-        f.argtypes = [i64, ptr, i64]
-        f.restype = i64
+    for name, args, res in (
+            ("deposit", [i64, ptr, ptr, *[i64] * 5, ptr, ptr, ptr, i64, ptr], ctypes.c_int),
+            ("finalize", [*[i64] * 5, ptr, ptr, ptr, ptr, i64, i64, ptr], ctypes.c_int),
+            ("first_nonfinite", [i64, ptr, i64], i64)):
+        for f in (getattr(lib, f"repro_{name}_f64"), getattr(lib, f"repro_{name}_f32")):
+            f.argtypes, f.restype = args, res
     lib.repro_partition.argtypes = [i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr,
                                     i64, ptr, ptr]
     lib.repro_partition.restype = None
@@ -115,9 +89,30 @@ def _lib() -> ctypes.CDLL:
     return _declare(ctypes.CDLL(str(_artifact())))
 
 
-def _check_state(a: np.ndarray, shape: tuple) -> None:
-    if a.dtype != np.int64 or a.shape != shape or not a.flags.c_contiguous:
-        raise ValueError(f"state array must be C-contiguous int64 of shape {shape}")
+def _kernel(name: str, dtype):
+    """``repro_<name>_f64`` or ``repro_<name>_f32``, after ``dtype``."""
+    return getattr(_lib(), f"repro_{name}_{'f64' if dtype == np.float64 else 'f32'}")
+
+
+def _slots(L: int, e_top: np.ndarray, dev: np.ndarray, C: np.ndarray) -> int:
+    """The slot count of one column's state, which must be C-contiguous
+    int64 arrays ``e_top (n_slots,)``, ``dev``/``C`` ``(L, n_slots)``."""
+    ns = e_top.shape[0]
+    for a, shape in ((e_top, (ns,)), (dev, (L, ns)), (C, (L, ns))):
+        if a.dtype != np.int64 or a.shape != shape or not a.flags.c_contiguous:
+            raise ValueError(f"state array must be C-contiguous int64 of shape {shape}")
+    return ns
+
+
+def _nonfinite(x) -> ValueError:
+    return ValueError("reproducible summation is defined for finite inputs only "
+                      f"(got {x})")
+
+
+def _raise_window(fmt: FloatFormat, L: int, e: int, kernel: str):
+    """Raise for the window ``e`` a kernel rejected, with the range."""
+    fmt.check_window(np.array([e]), L)
+    raise RuntimeError(f"{kernel} kernel rejected window {e}")
 
 
 def deposit(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
@@ -132,28 +127,20 @@ def deposit(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
     high bits (partition-ordered or key-sorted) are deposited on
     ``threads(len(v))`` threads; other rows on one.
     """
-    ns = e_top.shape[0]
-    _check_state(e_top, (ns,))
-    _check_state(dev, (L, ns))
-    _check_state(C, (L, ns))
+    ns = _slots(L, e_top, dev, C)
     slots = np.ascontiguousarray(slots, np.int64)
     v = np.ascontiguousarray(v, fmt.dtype)
     if slots.shape != v.shape or v.ndim != 1:
         raise ValueError("slots and values must be 1-D of the same length")
-    kernel = _lib().repro_deposit_f64 if fmt.dtype == np.float64 \
-        else _lib().repro_deposit_f32
     bad = ctypes.c_int64(0)
-    rc = kernel(v.size, v.ctypes.data, slots.ctypes.data, ns, L, fmt.W,
-                fmt.e_top_max, fmt.e_bot_min, e_top.ctypes.data,
-                dev.ctypes.data, C.ctypes.data, threads(v.size), ctypes.byref(bad))
+    rc = _kernel("deposit", fmt.dtype)(
+        v.size, v.ctypes.data, slots.ctypes.data, ns, L, fmt.W, fmt.e_top_max,
+        fmt.e_bot_min, e_top.ctypes.data, dev.ctypes.data, C.ctypes.data,
+        threads(v.size), ctypes.byref(bad))
     if rc == _DEP_NONFINITE:
-        raise ValueError(
-            "reproducible summation is defined for finite inputs only "
-            f"(got {v[bad.value]})"
-        )
+        raise _nonfinite(v[bad.value])
     if rc == _DEP_RANGE:
-        fmt.check_window(np.array([bad.value]), L)  # raises with the range
-        raise RuntimeError(f"deposit kernel rejected window {bad.value}")
+        _raise_window(fmt, L, bad.value, "deposit")
     if rc == _DEP_SLOT:
         raise IndexError(f"slot {slots[bad.value]} out of range for {ns} slots")
 
@@ -166,21 +153,16 @@ def finalize(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
     ``finalize_state`` after ``renorm``, on ``threads(n_slots)`` threads.
     Raises ``ValueError`` for a live window outside the format's range.
     """
-    ns = e_top.shape[0]
-    _check_state(e_top, (ns,))
-    _check_state(dev, (L, ns))
-    _check_state(C, (L, ns))
+    ns = _slots(L, e_top, dev, C)
     if out.dtype != fmt.dtype or out.shape != (ns,):
         raise ValueError(f"out must be {fmt.dtype.name} of shape ({ns},)")
-    kernel = _lib().repro_finalize_f64 if fmt.dtype == np.float64 \
-        else _lib().repro_finalize_f32
     bad = ctypes.c_int64(0)
-    rc = kernel(ns, L, fmt.W, fmt.e_top_max, fmt.e_bot_min, e_top.ctypes.data,
-                dev.ctypes.data, C.ctypes.data, out.ctypes.data,
-                out.strides[0] // out.itemsize, threads(ns), ctypes.byref(bad))
+    rc = _kernel("finalize", fmt.dtype)(
+        ns, L, fmt.W, fmt.e_top_max, fmt.e_bot_min, e_top.ctypes.data,
+        dev.ctypes.data, C.ctypes.data, out.ctypes.data,
+        out.strides[0] // out.itemsize, threads(ns), ctypes.byref(bad))
     if rc == _DEP_RANGE:
-        fmt.check_window(np.array([bad.value]), L)  # raises with the range
-        raise RuntimeError(f"finalize kernel rejected window {bad.value}")
+        _raise_window(fmt, L, bad.value, "finalize")
 
 
 def first_nonfinite(v: np.ndarray) -> int:
@@ -192,9 +174,15 @@ def first_nonfinite(v: np.ndarray) -> int:
     if v.dtype not in (np.float32, np.float64) or not (
             v.flags.c_contiguous or v.flags.f_contiguous):
         raise ValueError("expected a contiguous float32 or float64 array")
-    kernel = _lib().repro_first_nonfinite_f64 if v.dtype == np.float64 \
-        else _lib().repro_first_nonfinite_f32
-    return kernel(v.size, v.ctypes.data, threads(v.size))
+    return _kernel("first_nonfinite", v.dtype)(v.size, v.ctypes.data, threads(v.size))
+
+
+def check_finite(v: np.ndarray) -> None:
+    """Raise ``ValueError``, naming the value, unless every value of ``v``
+    (as :func:`first_nonfinite` takes it) is finite."""
+    i = first_nonfinite(v)
+    if i < v.size:
+        raise _nonfinite(v.ravel(order="K")[i])
 
 
 def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
@@ -202,9 +190,11 @@ def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
     """Stable counting sort of ``(keys, values)`` rows on ``(key >> shift) & (F-1)``.
 
     Runs on ``threads(len(keys))`` threads; the output is the same for
-    any thread count. Returns ``(keys_part, values_part, bounds)``; see
-    ``repro.aggregate.partition_agg.parallel_partition``. Any int64 key
-    routes to a partition in ``[0, F)``, so keys are not checked here.
+    any thread count. Returns ``(keys_part, values_part, bounds)``: the
+    rows grouped by partition, in input order within each, and
+    ``bounds (F + 1,)`` int64, so partition ``p`` occupies
+    ``slice(bounds[p], bounds[p + 1])``. Any int64 key routes to a
+    partition in ``[0, F)``, so keys are not checked here.
 
     ``out=(keys_out, values_out)`` receives the rows instead of two new
     arrays, which are then returned: C-contiguous, of the shape and dtype

@@ -119,16 +119,6 @@ def _rank_within(slots: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _check_finite(values: np.ndarray) -> None:
-    """Raise unless every value of the contiguous float array is finite."""
-    i = _kernels.first_nonfinite(values)
-    if i < values.size:
-        raise ValueError(
-            "reproducible summation is defined for finite inputs only "
-            f"(got {values.ravel(order='K')[i]})"
-        )
-
-
 class BinnedSum:
     """Reproducible sum of one stream of numbers (Section III, no grouping).
 
@@ -318,7 +308,7 @@ class GroupedBinnedAcc:
             vals = vals[:, None]
         # columns contiguous, as the kernel takes them
         vals = np.asfortranarray(vals, dtype=self.fmt.dtype)
-        _check_finite(vals)
+        _kernels.check_finite(vals)
         n = vals.shape[0]
         if not fast:
             for j in range(self.ncols):
@@ -392,6 +382,7 @@ class GroupedBinnedAcc:
                     np.add.at(self.C[j, lev + sv], slots[sel], Cs[sel, lev])
             self._note_adds(int(part.sum()) << 11)
 
+    # the traced perfbench run reads this; goes after ROADMAP item 1
     def adopt_strided(self, other: "GroupedBinnedAcc", base: int,
                       stride: int) -> None:
         """Adopt ``other``'s slots at positions ``base + i*stride``.

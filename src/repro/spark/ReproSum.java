@@ -12,18 +12,20 @@ import org.apache.spark.sql.types.StructType;
  * {@code HashAggregate}: {@code update} is {@code +=(scalar)}, {@code merge}
  * is {@code +=(repro)} and {@code evaluate} the final conversion.
  *
- * <p>The buffer is 1 + 2L non-null longs, {@code (e, h_0..h_{L-1},
- * l_0..l_{L-1})}: the window top exponent {@code e} and, per level, the
- * sum of the deposited integer units as {@code h * 2**loBits + l}. Every
- * sum is exact, so the result is a pure function of the input multiset
- * (DESIGN.md §2). {@code e} is {@link #EMPTY} while only zeros were seen
- * and {@link #NONE} while no value was, so an all-NULL group sums to NULL.
+ * <p>The buffer is 1 + 2L non-null longs, {@code (e, d_0..d_{L-1},
+ * c_0..c_{L-1})}: the window top exponent {@code e} and, per level, the
+ * sum of the deposited integer units as {@code c * 2**(m-2) + d}, the
+ * state layout of {@code core._kernels.c} and of a row of
+ * {@code GroupedBinnedAcc.export_states()}. Every sum is exact, so the
+ * result is a pure function of the input multiset (DESIGN.md §2).
+ * {@code e} is {@link #EMPTY} while only zeros were seen and
+ * {@link #NONE} while no value was, so an all-NULL group sums to NULL.
  *
- * <p>{@code update} adds each unit to the low half and folds the low
- * half into the high half ({@code h += l >> loBits; l &= mask}, which
- * keeps the value) before it could wrap; {@code merge} folds both states
- * and then adds. Every high half is added with {@link Math#addExact}, so
- * no long can wrap: a state past its headroom raises, naming the column.
+ * <p>{@code update} adds each unit to {@code d} and folds {@code d} into
+ * the carry ({@code c += d >> (m-2); d &= mask}, which keeps the value)
+ * before it could wrap; {@code merge} folds both states and then adds.
+ * Every carry is added with {@link Math#addExact}, so no long can wrap:
+ * a state past its headroom raises, naming the column.
  * {@link #mergeStates} and {@link #finish} are functions of
  * {@code long[]} states, the buffer's fields in order.
  */
@@ -38,8 +40,9 @@ public final class ReproSum extends UserDefinedAggregateFunction {
 
     private final String column;
     private final boolean single;
-    private final int L, m, W, eLo, eHi, loBits;
-    private final long loMask;
+    private final int L, m, W, eLo, eHi;
+    /** {@code 2**(m-2) - 1}: the bits of a folded {@code d} */
+    private final long mask;
     /** per level, the extractor 1.5 * 2**(m - lev*W) */
     private final double[] M;
 
@@ -59,8 +62,7 @@ public final class ReproSum extends UserDefinedAggregateFunction {
         this.m = single ? 23 : 52;
         this.eLo = eBotMin + (L - 1) * W;
         this.eHi = eTopMax;
-        this.loBits = (m - 2) / 2;
-        this.loMask = (1L << loBits) - 1;
+        this.mask = (1L << (m - 2)) - 1;
         this.M = new double[L];
         for (int lev = 0; lev < L; lev++) M[lev] = Math.scalb(1.5, m - lev * W);
     }
@@ -77,8 +79,8 @@ public final class ReproSum extends UserDefinedAggregateFunction {
 
     @Override public StructType bufferSchema() {
         StructType s = new StructType().add("e", DataTypes.LongType, false);
-        for (int lev = 0; lev < L; lev++) s = s.add("h" + lev, DataTypes.LongType, false);
-        for (int lev = 0; lev < L; lev++) s = s.add("l" + lev, DataTypes.LongType, false);
+        for (int lev = 0; lev < L; lev++) s = s.add("d" + lev, DataTypes.LongType, false);
+        for (int lev = 0; lev < L; lev++) s = s.add("c" + lev, DataTypes.LongType, false);
         return s;
     }
 
@@ -147,19 +149,19 @@ public final class ReproSum extends UserDefinedAggregateFunction {
     }
 
     /**
-     * Adds {@code u} units to level {@code lev}'s low half. A unit is at
-     * most {@code 2**(W-1)}, so the low half cannot wrap before it passes
-     * {@code 2**62}, where it is folded into the high half.
+     * Adds {@code u} units to level {@code lev}'s {@code d}. A unit is at
+     * most {@code 2**(W-1)}, so {@code d} cannot wrap before it passes
+     * {@code 2**62}, where it is folded into the carry.
      */
     private void deposit(MutableAggregationBuffer buf, int lev, long u) {
-        int l = 1 + L + lev;
-        long lo = buf.getLong(l) + u;
-        if (Math.abs(lo) > FOLD_AT) {
-            int h = 1 + lev;
-            buf.update(h, add(buf.getLong(h), lo >> loBits));
-            lo &= loMask;
+        int d = 1 + lev;
+        long x = buf.getLong(d) + u;
+        if (Math.abs(x) > FOLD_AT) {
+            int c = 1 + L + lev;
+            buf.update(c, add(buf.getLong(c), x >> (m - 2)));
+            x &= mask;
         }
-        buf.update(l, lo);
+        buf.update(d, x);
     }
 
     @Override public void merge(MutableAggregationBuffer buf, Row other) {
@@ -185,9 +187,9 @@ public final class ReproSum extends UserDefinedAggregateFunction {
     /**
      * Adds every state of {@code b}, consecutive blocks of 1 + 2L longs,
      * into the state {@code a}. Each pair is aligned to the larger window,
-     * and each low half is folded into its high half
-     * ({@code h += l >> loBits; l &= mask}) before the halves are added.
-     * {@code b} is folded in place.
+     * and each {@code d} is folded into its carry
+     * ({@code c += d >> (m-2); d &= mask}) before the levels are added,
+     * so {@code a} ends folded. {@code b} is folded in place.
      */
     public void mergeStates(long[] a, long[] b) {
         fold(a, 0);
@@ -202,20 +204,20 @@ public final class ReproSum extends UserDefinedAggregateFunction {
             if (b[o] > a[0]) align(a, b[o]);
             int s = (int) ((a[0] - b[o]) / W);
             for (int lev = s; lev < L; lev++) {
-                int h = 1 + lev, l = 1 + L + lev;
-                long lo = a[l] + b[o + l - s];  // both in [0, 2**loBits)
-                a[h] = add(add(a[h], b[o + h - s]), lo >> loBits);
-                a[l] = lo & loMask;
+                int d = 1 + lev, c = 1 + L + lev;
+                long x = a[d] + b[o + d - s];  // both in [0, 2**(m-2))
+                a[c] = add(add(a[c], b[o + c - s]), x >> (m - 2));
+                a[d] = x & mask;
             }
         }
     }
 
-    /** Folds every low half of the state at {@code s[o]} into its high half. */
+    /** Folds every {@code d} of the state at {@code s[o]} into its carry. */
     private void fold(long[] s, int o) {
         for (int lev = 0; lev < L; lev++) {
-            int h = o + 1 + lev, l = o + 1 + L + lev;
-            s[h] = add(s[h], s[l] >> loBits);
-            s[l] &= loMask;
+            int d = o + 1 + lev, c = o + 1 + L + lev;
+            s[c] = add(s[c], s[d] >> (m - 2));
+            s[d] &= mask;
         }
     }
 
@@ -231,11 +233,11 @@ public final class ReproSum extends UserDefinedAggregateFunction {
 
     /**
      * The rounded sum of a state: NULL if it saw no value, 0 if only
-     * zeros. Per level the halves recombine into {@code dev} in
-     * {@code [0, 2**(m-2))} and a carry {@code C}, in exact integer steps,
-     * and {@code Q += C*2**(e_l-2) + dev*2**(e_l-m)} runs from the lowest
-     * level up in the format's arithmetic, as {@code core.finalize_state}
-     * does. A window outside the guard rails raises, naming the column.
+     * zeros. Per level {@code d} is folded into {@code dev} in
+     * {@code [0, 2**(m-2))} and the carry {@code C}, and
+     * {@code Q += C*2**(e_l-2) + dev*2**(e_l-m)} runs from the lowest
+     * level up in the format's arithmetic, as the compiled finalize does.
+     * A window outside the guard rails raises, naming the column.
      */
     public Object finish(long[] s) {
         long e = s[0];
@@ -246,16 +248,11 @@ public final class ReproSum extends UserDefinedAggregateFunction {
                 + "supported range for " + (single ? "float32" : "float64") + " with L=" + L
                 + ": window top exponent " + e + " must lie in [" + eLo + ", " + eHi + "]");
         }
-        int hiBits = (m - 2) - loBits;
-        long devMask = (1L << (m - 2)) - 1;
         double qd = 0.0;
         float qf = 0.0f;
         for (int lev = L - 1; lev >= 0; lev--) {
-            long H = s[1 + lev], Lo = s[1 + L + lev];
-            // H * 2**loBits + Lo = C * 2**(m-2) + dev
-            long low = ((H & ((1L << hiBits) - 1)) << loBits) + (Lo & devMask);
-            long C = (H >> hiBits) + (Lo >> (m - 2)) + (low >> (m - 2));
-            long dev = low & devMask;
+            long C = add(s[1 + L + lev], s[1 + lev] >> (m - 2));
+            long dev = s[1 + lev] & mask;
             int el = (int) (e - (long) lev * W);
             if (single) {
                 qf = qf + ((float) C * (float) Math.scalb(1.0, el - 2)

@@ -2,12 +2,11 @@
 
 The Java source is compiled on first use with ``javac`` into a jar named
 by the hash of the source, ``javac -version`` and the PySpark version,
-under this package's ``__pycache__``; later loads, in any process, reuse
-it. The jar is built in a temporary directory and then renamed into
-place, so processes that build it at the same time never see a
-half-written file. A session adds the jar once, with ``ADD JAR``, and
-loads the class from its own jar class loader; no Spark conf is set. A
-JDK's ``javac`` on ``PATH`` is therefore a requirement of
+under this package's ``__pycache__``, by the compile-once cache of
+:mod:`repro._build`, which processes may enter at the same time. A
+session adds the jar once, with ``ADD JAR``, and loads the class from
+its own jar class loader; no Spark conf is set. A JDK's ``javac`` on
+``PATH`` is therefore a requirement of
 :func:`repro.spark.repro_sum` and :func:`repro.spark.rsum_groupby`; there
 is no fallback.
 """
@@ -16,8 +15,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-import subprocess
-import tempfile
 import zipfile
 from pathlib import Path
 
@@ -26,6 +23,7 @@ import pyspark
 from py4j.protocol import Py4JJavaError
 from pyspark.find_spark_home import _find_spark_home
 
+from .. import _build
 from ..core.params import FloatFormat
 
 _SRC = Path(__file__).with_name("ReproSum.java")
@@ -35,18 +33,7 @@ _CLASS = "repro.spark.ReproSum"
 _DEPS = ("spark-sql_", "spark-sql-api_", "spark-catalyst_", "spark-core_",
          "scala-library-", "scala-reflect-")
 _JAVAC = ("javac", "--release", "17", "-encoding", "UTF-8")
-
-
-def _run(cmd: list[str], what: str) -> bytes:
-    try:
-        return subprocess.run(cmd, check=True, capture_output=True).stdout
-    except FileNotFoundError:
-        raise RuntimeError(
-            f"repro_sum needs a JDK's javac on PATH to build {_SRC.name}: "
-            f"{' '.join(cmd)} could not start") from None
-    except subprocess.CalledProcessError as exc:
-        raise RuntimeError(f"{what} failed: {' '.join(cmd)}\n"
-                           f"{exc.stderr.decode(errors='replace')}") from None
+_NO_JAVAC = f"repro_sum needs a JDK's javac on PATH to build {_SRC.name}"
 
 
 def _classpath() -> str:
@@ -61,7 +48,7 @@ def _classpath() -> str:
 
 @functools.cache
 def _javac_version() -> bytes:
-    return _run(["javac", "-version"], "javac -version")
+    return _build.run(["javac", "-version"], "javac -version", _NO_JAVAC)
 
 
 def _artifact(cache_dir: Path = _CACHE) -> Path:
@@ -69,22 +56,19 @@ def _artifact(cache_dir: Path = _CACHE) -> Path:
     src = _SRC.read_bytes()
     tag = hashlib.sha256(src + _javac_version()
                          + pyspark.__version__.encode()).hexdigest()[:16]
-    jar = Path(cache_dir) / f"reprosum-{tag}.jar"
-    if jar.exists():
-        return jar
-    jar.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=jar.parent, prefix=f"{jar.stem}.") as tmp:
+
+    def build(tmp: Path) -> Path:
         # compile the bytes that were hashed
-        (Path(tmp) / _SRC.name).write_bytes(src)
-        classes = Path(tmp) / "classes"
-        _run([*_JAVAC, "-cp", _classpath(), "-d", str(classes),
-              str(Path(tmp) / _SRC.name)], f"compiling {_SRC.name}")
-        out = Path(tmp) / jar.name
-        with zipfile.ZipFile(out, "w") as z:
+        (tmp / _SRC.name).write_bytes(src)
+        classes, jar = tmp / "classes", tmp / "reprosum.jar"
+        _build.run([*_JAVAC, "-cp", _classpath(), "-d", str(classes),
+                    str(tmp / _SRC.name)], f"compiling {_SRC.name}", _NO_JAVAC)
+        with zipfile.ZipFile(jar, "w") as z:
             for f in sorted(classes.rglob("*.class")):
                 z.write(f, f.relative_to(classes).as_posix())
-        os.replace(out, jar)
-    return jar
+        return jar
+
+    return _build.cached(Path(cache_dir) / f"reprosum-{tag}.jar", build)
 
 
 @functools.cache

@@ -12,8 +12,9 @@ its own and partial states merged in any order.
 
 :func:`rsum_groupby` is ``groupBy(keys).agg(repro_sum(v) ...)``, which
 Spark runs as partial ``HashAggregate`` → shuffle of the keys and
-``1 + 2L`` longs per group and column → final ``HashAggregate``. No row
-leaves the JVM. Because every per-level sum is exact, the result is
+``1 + 2L`` longs per group and column → final ``HashAggregate``. The
+longs are ``(e, dev[L], C[L])``, the state of ``GroupedBinnedAcc`` (a row
+of its ``export_states()``). No row leaves the JVM. Because every per-level sum is exact, the result is
 bit-identical for any order or partitioning.
 """
 from __future__ import annotations

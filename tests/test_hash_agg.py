@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.aggregate import hash_aggregate
+from repro.aggregate import hash_aggregate, make_acc
 from repro.synth_data import np_groupby_input
 
 
@@ -24,10 +24,17 @@ def test_sums_close_to_fsum(kind, kw):
 
 @pytest.mark.parametrize("batch", [1 << 8, 1 << 12, 1 << 16])
 def test_batch_size_invariance_for_repro(batch):
+    """``update`` over slices of ``batch`` rows leaves the bits of one
+    ``update`` over all rows, and so do ``hash_aggregate``'s batches."""
     keys, vals = np_groupby_input(20000, 40, dist="mixed", seed=2)
-    ref = hash_aggregate(keys, vals, 40, kind="repro", L=2).result_bits()
-    got = hash_aggregate(keys, vals, 40, kind="repro", L=2, batch=batch).result_bits()
-    assert got == ref
+    one = make_acc("repro", 40, L=2)
+    one.update(keys, vals)
+    acc = make_acc("repro", 40, L=2)
+    for i in range(0, keys.size, batch):
+        acc.update(keys[i:i + batch], vals[i:i + batch])
+    assert acc.result_bits() == one.result_bits()
+    assert hash_aggregate(keys, vals, 40, kind="repro", L=2).result_bits() \
+        == one.result_bits()
 
 
 def test_mismatched_lengths_raise():
@@ -42,8 +49,8 @@ class TestNonReproducibilityOfFloats:
         keys = np.zeros(3, np.int64)
         v1 = np.array([1.0, 1e16, -1e16])
         v2 = np.array([1e16, -1e16, 1.0])
-        a = hash_aggregate(keys, v1, 1, kind="builtin", batch=1).finalize()[0]
-        b = hash_aggregate(keys, v2, 1, kind="builtin", batch=1).finalize()[0]
+        a = hash_aggregate(keys, v1, 1, kind="builtin").finalize()[0]
+        b = hash_aggregate(keys, v2, 1, kind="builtin").finalize()[0]
         assert a != b  # 0.0 vs 1.0 — the non-reproducibility being fixed
 
     @pytest.mark.parametrize("kind,kw", [
@@ -54,8 +61,8 @@ class TestNonReproducibilityOfFloats:
         keys = np.zeros(3, np.int64)
         v1 = np.array([1.0, 1e16, -1e16])
         v2 = np.array([1e16, -1e16, 1.0])
-        a = hash_aggregate(keys, v1, 1, kind=kind, batch=1, **kw)
-        b = hash_aggregate(keys, v2, 1, kind=kind, batch=1, **kw)
+        a = hash_aggregate(keys, v1, 1, kind=kind, **kw)
+        b = hash_aggregate(keys, v2, 1, kind=kind, **kw)
         assert a.result_bits() == b.result_bits()
         if kw["L"] >= 2:
             # with L>=2 the small addend survives: the exact answer.

@@ -50,7 +50,7 @@ def test_second_load_reuses_artifact(tmp_path, monkeypatch):
     def no_compile(*a, **kw):
         raise AssertionError("recompiled")
 
-    monkeypatch.setattr(_jar.subprocess, "run", no_compile)
+    monkeypatch.setattr(subprocess, "run", no_compile)
     assert _jar._artifact(tmp_path) == jar
 
 

@@ -153,12 +153,11 @@ def test_finiteness_check_allocates_no_temporary():
     """The check before a deposit is one compiled scan: no per-value
     temporary, as ``np.isfinite`` would make."""
     import tracemalloc
-    from repro.core import binned
     vals = np.ones((1 << 20, 1))
-    binned._check_finite(vals)  # load the kernels first
+    _kernels.check_finite(vals)  # load the kernels first
     tracemalloc.start()
     try:
-        binned._check_finite(vals)
+        _kernels.check_finite(vals)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -674,7 +673,7 @@ def test_second_load_reuses_artifact(tmp_path, monkeypatch):
     def no_compile(*a, **kw):
         raise AssertionError("recompiled")
 
-    monkeypatch.setattr(_kernels.subprocess, "run", no_compile)
+    monkeypatch.setattr(subprocess, "run", no_compile)
     assert _kernels._artifact(tmp_path) == so
 
 

@@ -2,11 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.aggregate import (
-    hash_aggregate,
-    parallel_partition,
-    partition_and_aggregate,
-)
+from repro.aggregate import hash_aggregate, make_acc, partition_and_aggregate
+from repro.aggregate.partition_agg import parallel_partition
 from repro.core import _kernels
 from repro.synth_data import np_groupby_input
 
@@ -89,13 +86,15 @@ def test_totals_match_for_flat_types(kind, kw, d):
 def test_flat_types_bit_equal_to_plain_hash_agg(d, kind, kw, batch):
     """The partition is stable and partitions hold disjoint groups, so
     each group gets the same adds in the same order at any depth: even
-    order-dependent built-in floats keep their bits."""
+    order-dependent built-in floats keep their bits, those of one pass
+    over the unpartitioned rows in ``update`` calls of ``batch`` rows."""
     dist = "prices" if kind == "decimal" else "mixed"
     keys, vals = np_groupby_input(30000, 1000, dist=dist, seed=d)
-    ref = hash_aggregate(keys, vals, 1000, kind=kind, **kw).result_bits()
-    got = partition_and_aggregate(keys, vals, 1000, kind=kind, d=d,
-                                  batch=batch, **kw).result_bits()
-    assert got == ref
+    ref = make_acc(kind, 1000, **kw)
+    for i in range(0, keys.size, batch):
+        ref.update(keys[i:i + batch], vals[i:i + batch])
+    got = partition_and_aggregate(keys, vals, 1000, kind=kind, d=d, **kw)
+    assert got.result_bits() == ref.result_bits()
 
 
 def test_permutation_reproducibility_through_partitioning():

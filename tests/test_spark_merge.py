@@ -12,6 +12,7 @@ from pyspark.sql import functions as F
 
 from repro.core import EMPTY_E, GroupedBinnedAcc, RsumScalar, finalize_state, fmt_for
 from repro.spark import _jar, rsum_groupby
+from repro.synth_data import np_groupby_input
 
 
 #: ``ReproSum.NONE``, the window of a state that has seen no value
@@ -38,33 +39,34 @@ def _max_binade(fmt) -> int:
 
 # ------------------------------------------------------- merge exactness
 def _synthetic_bins(fmt, L: int, n: int, seed: int):
-    """Per-bin rows of one value column: group 0 receives ``n`` rows,
-    most at one window and the rest up to three levels below it, whose
-    high halves are so large that a level's recombined sum
-    ``H * 2**lo_bits + Lo`` needs more than 64 bits; groups 1 and 2 a
-    few rows each. ``EMPTY_E`` rows carry zeros, and group 2 has only
-    those."""
+    """Per-bin rows ``(e, dev, C)`` of one value column: group 0 receives
+    ``n`` rows, most at one window and the rest up to three levels below
+    it, whose carries are so large that a level's exact sum
+    ``C * 2**(m-2) + dev`` needs more than 64 bits; groups 1 and 2 a few
+    rows each. ``dev`` runs up to ``2**45``, past ``2**(m-2)`` for
+    float32, so the merge must fold it first. ``EMPTY_E`` rows carry
+    zeros, and group 2 has only those."""
     rng = np.random.default_rng(seed)
-    lo_bits = (fmt.m - 2) // 2
+    shift = fmt.m - 2
     e0 = fmt.e_bot_min + (L + 2) * fmt.W
     keys = np.concatenate([np.zeros(n, np.int64), np.repeat([1, 2], 8)])
     k = keys.size
     e = e0 - fmt.W * rng.choice(4, k, p=[0.7, 0.1, 0.1, 0.1])
     e[rng.random(k) < 0.1] = EMPTY_E
     e[keys == 2] = EMPTY_E
-    h = rng.integers(1 << (51 - lo_bits), 1 << (52 - lo_bits), (k, L))
-    h[rng.random((k, L)) < 0.1] *= -1
-    lo = rng.integers(0, 1 << 45, (k, L))
-    h[e == EMPTY_E] = 0
-    lo[e == EMPTY_E] = 0
-    return keys, e, h, lo
+    dev = rng.integers(0, 1 << 45, (k, L))
+    C = rng.integers(1 << (51 - shift), 1 << (52 - shift), (k, L))
+    C[rng.random((k, L)) < 0.1] *= -1
+    dev[e == EMPTY_E] = 0
+    C[e == EMPTY_E] = 0
+    return keys, e, dev, C
 
 
-def _exact_merge(fmt, L: int, keys, e, h, lo) -> np.ndarray:
-    """The merge in Python integers: per group, every live row's halves
-    recombined at their level of the group's largest window, renormed
-    and finalized by ``finalize_state``."""
-    lo_bits, cap = (fmt.m - 2) // 2, 1 << (fmt.m - 2)
+def _exact_merge(fmt, L: int, keys, e, dev, C) -> np.ndarray:
+    """The merge in Python integers: per group, every live row's level
+    sums ``C * 2**(m-2) + dev`` added at their level of the group's
+    largest window, renormed and finalized by ``finalize_state``."""
+    shift, cap = fmt.m - 2, 1 << (fmt.m - 2)
     out, widest = [], 0
     for g in np.unique(keys):
         rows = [i for i in np.flatnonzero(keys == g) if e[i] != EMPTY_E]
@@ -73,11 +75,11 @@ def _exact_merge(fmt, L: int, keys, e, h, lo) -> np.ndarray:
         for i in rows:
             s = (top - int(e[i])) // fmt.W
             for lev in range(s, L):
-                T[lev] += (int(h[i, lev - s]) << lo_bits) + int(lo[i, lev - s])
+                T[lev] += (int(C[i, lev - s]) << shift) + int(dev[i, lev - s])
         widest = max([widest] + [abs(t).bit_length() for t in T])
-        dev = np.array([[t % cap] for t in T], np.int64)
-        C = np.array([[t // cap] for t in T], np.int64)
-        out.append(finalize_state(fmt, L, np.array([top]), dev, C)[0])
+        d = np.array([[t % cap] for t in T], np.int64)
+        c = np.array([[t // cap] for t in T], np.int64)
+        out.append(finalize_state(fmt, L, np.array([top]), d, c)[0])
     assert widest > 63  # a long would overflow
     return np.array(out, fmt.dtype)
 
@@ -91,34 +93,38 @@ def _jvm_states(spark, states: np.ndarray):
     return out
 
 
-def _jvm_merge(spark, fmt, L: int, keys, e, h, lo) -> np.ndarray:
+def _jvm_merged(spark, udaf, L: int, rows: np.ndarray):
+    """``rows`` (``(e, dev[L], C[L])`` each) merged by
+    ``ReproSum.mergeStates`` into an initial state, as a Java ``long[]``."""
+    acc = _jvm_states(spark, np.r_[_NONE, np.zeros(2 * L, np.int64)])
+    udaf.mergeStates(acc, _jvm_states(spark, rows))
+    return acc
+
+
+def _jvm_merge(spark, fmt, L: int, keys, e, dev, C) -> np.ndarray:
     """Per group, its rows merged by ``ReproSum.mergeStates`` into an
     initial state and finalized by ``ReproSum.finish``."""
     udaf = _jar.udaf(spark, "v", fmt, L)
-    rows = np.column_stack([e, h, lo])
-    out = []
-    for g in np.unique(keys):
-        acc = _jvm_states(spark, np.r_[_NONE, np.zeros(2 * L, np.int64)])
-        udaf.mergeStates(acc, _jvm_states(spark, rows[keys == g]))
-        out.append(udaf.finish(acc))
-    return np.array(out, fmt.dtype)
+    rows = np.column_stack([e, dev, C])
+    return np.array([udaf.finish(_jvm_merged(spark, udaf, L, rows[keys == g]))
+                     for g in np.unique(keys)], fmt.dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("ansi", ["true", "false"])
 def test_sql_merge_exact_beyond_long_headroom(spark, dtype, ansi):
-    """20 000 per-bin states of one group whose recombined halves need
-    more than 64 bits: the JVM merge and finalize stay bit-equal to an
-    exact Python-integer merge. They are Java code, which has no ANSI
-    mode, so the result is the same with either setting."""
+    """20 000 per-bin states of one group whose level sums need more
+    than 64 bits: the JVM merge and finalize stay bit-equal to an exact
+    Python-integer merge. They are Java code, which has no ANSI mode, so
+    the result is the same with either setting."""
     fmt, L = fmt_for(dtype), 3
-    keys, e, h, lo = _synthetic_bins(fmt, L, 20_000, seed=5)
-    want = _exact_merge(fmt, L, keys, e, h, lo)
+    keys, e, dev, C = _synthetic_bins(fmt, L, 20_000, seed=5)
+    want = _exact_merge(fmt, L, keys, e, dev, C)
 
     old = spark.conf.get("spark.sql.ansi.enabled")
     spark.conf.set("spark.sql.ansi.enabled", ansi)
     try:
-        got = _jvm_merge(spark, fmt, L, keys, e, h, lo)
+        got = _jvm_merge(spark, fmt, L, keys, e, dev, C)
     finally:
         spark.conf.set("spark.sql.ansi.enabled", old)
     assert want[2] == 0.0
@@ -126,20 +132,49 @@ def test_sql_merge_exact_beyond_long_headroom(spark, dtype, ansi):
 
 
 def test_merge_past_long_headroom_raises_naming_column(spark):
-    """Two states whose high halves at one level sum past ``2**63``
-    raise, naming the column, instead of wrapping."""
+    """Two states whose carries at one level, ``C = 2**62`` each, sum
+    past ``2**63`` raise, naming the column, instead of wrapping."""
     fmt, L = fmt_for(np.float64), 2
     e = np.array([40, 40])
-    h = np.array([[1 << 62, 0], [1 << 62, 0]])
-    lo = np.zeros((2, L), np.int64)
+    dev = np.zeros((2, L), np.int64)
+    C = np.array([[1 << 62, 0], [1 << 62, 0]])
     with pytest.raises(Exception, match=r"column 'v' .* exceeds the range of a long"):
-        _jvm_merge(spark, fmt, L, np.zeros(2, np.int64), e, h, lo)
+        _jvm_merge(spark, fmt, L, np.zeros(2, np.int64), e, dev, C)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_jvm_merge_of_local_partials_is_the_one_pass_state(spark, dtype):
+    """``GroupedBinnedAcc`` partials of 5 chunks, exported, merged per
+    group by ``ReproSum.mergeStates``: the ``long[]`` is the one-pass
+    ``export_states()`` row ``(e, dev, C)`` bit for bit, as both keep
+    the same state. An all-zero group and groups without rows stay
+    ``EMPTY_E``."""
+    fmt, L, G = fmt_for(dtype), 2, 50
+    keys, vals = np_groupby_input(20_000, G, dist="mixed", dtype=dtype, seed=3)
+    vals[np.random.default_rng(3).random(vals.size) < 0.5] *= -1
+    vals[keys == 7] = 0
+    slots = G + 2  # the last two receive no row
+
+    def export(k, v):
+        acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=slots).update(k, v)
+        return np.column_stack(acc.export_states()[1:])
+
+    want = export(keys, vals)
+    parts = [export(k, v) for k, v in zip(np.array_split(keys, 5),
+                                          np.array_split(vals, 5))]
+    assert all(p[g, 0] == EMPTY_E for p in parts for g in (7, G, G + 1))
+    udaf = _jar.udaf(spark, "v", fmt, L)
+    got = np.array([list(_jvm_merged(spark, udaf, L, np.stack([p[g] for p in parts])))
+                    for g in range(slots)], np.int64)
+    assert np.array_equal(got, want)
+    assert (want[[7, G, G + 1], 0] == EMPTY_E).all()
+    assert (want[:, 1 + L:] != 0).any()  # some level carries
 
 
 def test_update_folds_low_half_before_it_wraps(spark):
     """One buffer receives 5 * 2**22 deposits of ``1.75 * 2**38`` units
-    each, 2**63 units after about 2**24.2 of them: ``update`` folds the
-    low half into the high half before it wraps, and the sum stays
+    each, 2**63 units after about 2**24.2 of them: ``update`` folds a
+    level's ``dev`` into its carry before it wraps, and the sum stays
     exact."""
     n, x = 5 << 22, 1.75 * 2.0**26
     df = spark.range(0, n, 1, 1).select(F.lit(0).alias("k"), F.lit(x).alias("v"))
