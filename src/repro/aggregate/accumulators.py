@@ -10,10 +10,11 @@ Every backend exposes the same dense-table interface used by
 HASHAGGREGATION / PARTITIONANDAGGREGATE:
 
 * ``update(idx, vals)`` — scatter a batch of values into table rows;
-* ``merge_from(other, base, stride=1)`` — fold a private table into a
-  shared one, placing other's row ``i`` at ``base + i * stride`` (the
+* ``merge_from(other, base, stride=1)`` — add a private table into a
+  shared one, other's row ``i`` into row ``base + i * stride`` (the
   transfer phase of the paper's Algorithm 4, which
-  ``partition_and_aggregate`` does not need; only perfbench calls it);
+  ``partition_and_aggregate`` does not need; only perfbench calls it).
+  The repro kinds add exported states with ``merge_state_rows``;
 * ``finalize()`` — per-row sums as float64 for comparison;
 * ``result_bits()`` — a canonical byte-level representation used by the
   reproducibility tests (bit-pattern equality, not approximate).
@@ -149,9 +150,9 @@ class ReproAcc:
 
     # the traced perfbench run reads this; goes after ROADMAP item 1
     def merge_from(self, other: "ReproAcc", base: int, stride: int = 1) -> None:
-        # a transfer phase over disjoint groups: private states are
-        # adopted into the shared table directly
-        self.acc.adopt_strided(other.acc, base, stride)
+        keys, e, dev, C = other.acc.export_states()
+        n = min(keys.size, len(range(base, self.acc.n_slots, stride)))  # last may be short
+        self.acc.merge_state_rows(base + keys[:n] * stride, e[:n], dev[:n], C[:n])
 
     def finalize(self) -> np.ndarray:
         return self.acc.finalize()[:, 0].astype(np.float64, copy=False)

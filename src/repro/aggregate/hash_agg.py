@@ -39,9 +39,9 @@ def hash_aggregate(
     ``GroupedBinnedAcc.update_slots`` cuts into kernel calls of at most
     2**22 rows.
     """
-    keys = np.asarray(keys, np.int64)
-    values = np.asarray(values)
+    keys, values = np.asarray(keys), np.asarray(values)
     check_input(keys, values, n_groups)
+    keys = keys.astype(np.int64, copy=False)
     acc = make_acc(kind, n_groups, **acc_kw)
     step = keys.size if kind == "repro_buffered" else BATCH
     for i in range(0, keys.size, max(step, 1)):
@@ -50,11 +50,15 @@ def hash_aggregate(
 
 
 def check_input(keys: np.ndarray, values: np.ndarray, n_groups: int) -> None:
-    """Raise unless ``keys`` (int64) and ``values`` pair up and every key
-    is in ``[0, n_groups)``."""
+    """Raise unless ``keys`` are integers (else ``TypeError``) that pair up
+    with ``values`` and lie in ``[0, n_groups)`` (else ``IndexError``,
+    naming the key as given)."""
+    if keys.size and keys.dtype.kind not in "iu":
+        raise TypeError(f"keys must be integer slot ids, not {keys.dtype}")
     if keys.shape != values.shape:
         raise ValueError("keys and values must have the same length")
-    # one pass: a negative key is a huge unsigned one
-    if keys.size and keys.view(np.uint64).max() >= np.uint64(n_groups):
+    # one pass: a negative key, read as int64, is a huge unsigned one
+    u = keys.astype(np.int64, copy=False).view(np.uint64) if keys.dtype.kind == "i" else keys
+    if keys.size and int(u.max()) >= n_groups:
         bad = keys[(keys < 0) | (keys >= n_groups)][0]
         raise IndexError(f"key {bad} out of range for {n_groups} groups")

@@ -20,7 +20,7 @@
 #define EMPTY_E INT64_MIN
 
 /* Return codes of the deposit and finalize kernels; `*bad` says where. */
-enum { DEP_OK = 0, DEP_NONFINITE = 1, DEP_RANGE = 2, DEP_SLOT = 3 };
+enum { DEP_OK = 0, DEP_NONFINITE = 1, DEP_RANGE = 2, DEP_SLOT = 3, DEP_OVERFLOW = 4 };
 
 /* frexp exponent of a zero value, and of NaN/Inf. */
 #define ZERO_EFR INT64_MIN
@@ -379,15 +379,16 @@ DEFINE_DEPOSIT(repro_deposit_f32, float, efr_f32, extractor_f32, 23)
  * such power of two is a float of the format, so each product rounds
  * once, as np.ldexp does. EMPTY slots round to 0.
  * A live window outside [e_min + (L-1)*W, e_max] returns DEP_RANGE with
- * *bad the first such window in slot order; other slots may already be
- * renormalised and rounded.
+ * *bad the first such window in slot order, and a carry sum that leaves
+ * int64 returns DEP_OVERFLOW with *bad its slot, leaving that level as it
+ * was; other slots may already be renormalised and rounded.
  */
 #define DEFINE_FINALIZE(NAME, T, POW2, M)                                     \
     static void *NAME##_slots(void *arg)                                      \
     {                                                                         \
         struct fin_task *a = arg;                                             \
         int64_t ns = a->c.ns, L = a->c.L, W = a->c.W, e_max = a->c.e_max;     \
-        int64_t e_min = a->c.e_min, stride = a->stride;                       \
+        int64_t e_min = a->c.e_min, stride = a->stride, c;                    \
         const int64_t *e_top = a->c.e_top;                                    \
         int64_t *dev = a->c.dev, *C = a->c.C;                                 \
         T *out = a->out;                                                      \
@@ -395,7 +396,12 @@ DEFINE_DEPOSIT(repro_deposit_f32, float, efr_f32, extractor_f32, 23)
         for (int64_t s = a->lo; s < a->hi; s++) {                             \
             for (int64_t l = 0; l < L; l++) {                                 \
                 int64_t carry = dev[l * ns + s] >> ((M) - 2); /* floor */     \
-                C[l * ns + s] += carry;                                       \
+                if (__builtin_add_overflow(C[l * ns + s], carry, &c)) {       \
+                    a->bad = s;                                               \
+                    a->rc = DEP_OVERFLOW;                                     \
+                    return NULL;                                              \
+                }                                                             \
+                C[l * ns + s] = c;                                            \
                 dev[l * ns + s] -= carry * ((int64_t)1 << ((M) - 2));         \
             }                                                                 \
             int64_t e = e_top[s];                                             \

@@ -40,7 +40,7 @@ _MAX_THREADS = 64
 #: bytes in a cache line (LINE in _kernels.c)
 _LINE = 64
 
-_DEP_NONFINITE, _DEP_RANGE, _DEP_SLOT = 1, 2, 3
+_DEP_NONFINITE, _DEP_RANGE, _DEP_SLOT, _DEP_OVERFLOW = 1, 2, 3, 4
 
 
 def _artifact(cache_dir: Path = _CACHE) -> Path:
@@ -104,9 +104,14 @@ def _slots(L: int, e_top: np.ndarray, dev: np.ndarray, C: np.ndarray) -> int:
     return ns
 
 
-def _nonfinite(x) -> ValueError:
+def nonfinite_error(x) -> ValueError:
     return ValueError("reproducible summation is defined for finite inputs only "
                       f"(got {x})")
+
+
+def overflow_error() -> OverflowError:
+    return OverflowError("a group's level sum exceeds the range of int64; "
+                         "split the group")
 
 
 def _raise_window(fmt: FloatFormat, L: int, e: int, kernel: str):
@@ -138,7 +143,7 @@ def deposit(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
         fmt.e_bot_min, e_top.ctypes.data, dev.ctypes.data, C.ctypes.data,
         threads(v.size), ctypes.byref(bad))
     if rc == _DEP_NONFINITE:
-        raise _nonfinite(v[bad.value])
+        raise nonfinite_error(v[bad.value])
     if rc == _DEP_RANGE:
         _raise_window(fmt, L, bad.value, "deposit")
     if rc == _DEP_SLOT:
@@ -151,7 +156,8 @@ def finalize(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
 
     ``out (n_slots,)`` in the format's dtype, any stride; bit for bit
     ``finalize_state`` after ``renorm``, on ``threads(n_slots)`` threads.
-    Raises ``ValueError`` for a live window outside the format's range.
+    Raises ``ValueError`` for a live window outside the format's range
+    and ``OverflowError`` for a carry sum that leaves int64.
     """
     ns = _slots(L, e_top, dev, C)
     if out.dtype != fmt.dtype or out.shape != (ns,):
@@ -163,6 +169,8 @@ def finalize(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
         out.strides[0] // out.itemsize, threads(ns), ctypes.byref(bad))
     if rc == _DEP_RANGE:
         _raise_window(fmt, L, bad.value, "finalize")
+    if rc == _DEP_OVERFLOW:
+        raise overflow_error()
 
 
 def first_nonfinite(v: np.ndarray) -> int:
@@ -182,7 +190,7 @@ def check_finite(v: np.ndarray) -> None:
     (as :func:`first_nonfinite` takes it) is finite."""
     i = first_nonfinite(v)
     if i < v.size:
-        raise _nonfinite(v.ravel(order="K")[i])
+        raise nonfinite_error(v.ravel(order="K")[i])
 
 
 def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
@@ -194,7 +202,9 @@ def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
     rows grouped by partition, in input order within each, and
     ``bounds (F + 1,)`` int64, so partition ``p`` occupies
     ``slice(bounds[p], bounds[p + 1])``. Any int64 key routes to a
-    partition in ``[0, F)``, so keys are not checked here.
+    partition in ``[0, F)``, so keys are only checked to be integers
+    (else ``TypeError``); uint64 keys are routed on their bits and
+    returned as uint64, the others as int64.
 
     ``out=(keys_out, values_out)`` receives the rows instead of two new
     arrays, which are then returned: C-contiguous, of the shape and dtype
@@ -205,7 +215,12 @@ def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
     """
     if F < 1 or F & (F - 1):
         raise ValueError("fan-out must be a power of two")
-    keys = np.ascontiguousarray(keys, np.int64)
+    given = np.asarray(keys)
+    if given.size and given.dtype.kind not in "iu":
+        raise TypeError(f"keys must be integer slot ids, not {given.dtype}")
+    # uint64 keys are routed on their bits and come back as uint64
+    keys = np.ascontiguousarray(
+        given.view(np.int64) if given.dtype == np.uint64 else given, np.int64)
     values = np.ascontiguousarray(values)
     if keys.ndim != 1 or values.ndim == 0 or values.shape[0] != keys.size:
         raise ValueError("keys must be 1-D and values must have one row per key")
@@ -231,7 +246,7 @@ def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
         keys.size, keys.ctypes.data, values.ctypes.data, row_bytes, F,
         shift, out_k.ctypes.data, out_v.ctypes.data, bounds.ctypes.data,
         T, hist.ctypes.data, lines.ctypes.data)
-    return out_k, out_v, bounds
+    return (out_k.view(np.uint64) if given.dtype == np.uint64 else out_k), out_v, bounds
 
 
 def _check_out(o: np.ndarray, like: np.ndarray, name: str) -> None:

@@ -12,7 +12,7 @@ This module implements the paper's reproducible floating-point type
   partitions, or Spark tasks;
 * the retained window is the top ``L`` levels anchored at the natural
   bin of the running maximum; merging two states aligns levels on the
-  shared global grid and adds exactly.
+  shared global grid and adds exactly, as ``ReproSum.mergeStates`` does.
 
 State layout (per group, per value column): window top exponent
 ``e_top`` (``EMPTY_E`` until a nonzero value is seen), ``dev[L]`` — the
@@ -22,7 +22,8 @@ count). ``S^(l) = 1.5*2**(e_l) + dev_l * 2**(e_l - m)``; the paper's
 invariant ``S in [1.5, 1.75)*ufp(S)`` is ``dev in [0, 2**(m-2))``.
 Keeping ``dev``/``C`` as int64 makes every accumulation step exact by
 construction; renormalisation (the paper's carry-bit propagation) is a
-presentation-layer step performed before export/merge/finalise. The
+presentation-layer step performed on export, merge rows and finalise;
+a carry sum that would leave int64 raises ``OverflowError``. The
 float-state reference of Algorithm 2 lives in ``rsum_scalar.py`` and is
 tested to agree bit-for-bit.
 """
@@ -73,13 +74,24 @@ def renorm(dev: np.ndarray, C: np.ndarray, fmt: FloatFormat) -> None:
 
     Mirrors Algorithm 2 lines 14–18: move whole multiples of
     ``0.25*ufp = 2**(m-2)`` grid units from the running sum into the
-    carry counter. Floor division handles negative deviations (mixed
-    signs in the input) exactly.
+    carry counter. The shift floors, so negative deviations (mixed signs
+    in the input) fold exactly. A carry sum that leaves int64 raises
+    ``OverflowError`` before anything changes.
     """
-    cap = np.int64(1) << (fmt.m - 2)
-    carry = np.floor_divide(dev, cap)
+    carry = dev >> (fmt.m - 2)
+    _check_add(C, carry)
     C += carry
-    dev -= carry * cap
+    dev &= (1 << (fmt.m - 2)) - 1
+
+
+def _check_add(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise ``OverflowError`` if some ``a + b`` leaves int64, as
+    ``Math.addExact`` throws; only operands past ``2**62`` can."""
+    big = 1 << 62
+    if any(x.size and (x.max() >= big or x.min() < -big) for x in (a, b)):
+        s = a + b
+        if np.any((a ^ s) & (b ^ s) < 0):
+            raise _kernels.overflow_error()
 
 
 def finalize_state(fmt: FloatFormat, L: int, e_top, dev, C):
@@ -107,16 +119,6 @@ def finalize_state(fmt: FloatFormat, L: int, e_top, dev, C):
 
 #: rows deposited between two renormalisations, at most (see _note_adds)
 _RENORM_EVERY = 1 << 22
-
-
-def _rank_within(slots: np.ndarray) -> np.ndarray:
-    """Each row's rank among the rows of the same slot, in row order."""
-    order = np.argsort(slots, kind="stable")
-    s = slots[order]
-    start = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-    rank = np.empty(s.size, np.int64)
-    rank[order] = np.arange(s.size) - np.repeat(start, np.diff(np.r_[start, s.size]))
-    return rank
 
 
 class BinnedSum:
@@ -177,11 +179,11 @@ class GroupedBinnedAcc:
 
     def __init__(self, *, L: int = 2, dtype=np.float64, ncols: int = 1,
                  dense_n_groups: int | None = None):
-        if L < 1 or ncols < 1:
-            raise ValueError("L and ncols must be >= 1")
         self.fmt = fmt_for(dtype)
-        self.L = L
-        self.ncols = ncols
+        self.fmt.check_L(L)
+        if ncols < 1:
+            raise ValueError("ncols must be >= 1")
+        self.L, self.ncols = L, ncols
         self._grows = dense_n_groups is None
         n0 = dense_n_groups or 0
         self.e_top = np.full((ncols, n0), EMPTY_E, np.int64)
@@ -199,65 +201,54 @@ class GroupedBinnedAcc:
 
     def _grow(self, add: int) -> None:
         """Append ``add`` empty slots, the slot ids that follow."""
-        if add <= 0:
-            return
-        self.e_top = np.concatenate(
-            [self.e_top, np.full((self.ncols, add), EMPTY_E, np.int64)], axis=1
-        )
-        self.dev = np.concatenate(
-            [self.dev, np.zeros((self.ncols, self.L, add), np.int64)], axis=2
-        )
-        self.C = np.concatenate(
-            [self.C, np.zeros((self.ncols, self.L, add), np.int64)], axis=2
-        )
+        if add > 0:
+            self.e_top, self.dev, self.C = (
+                np.concatenate([a, np.full(a.shape[:-1] + (add,), v, np.int64)], axis=-1)
+                for a, v in ((self.e_top, EMPTY_E), (self.dev, 0), (self.C, 0)))
 
-    def slots_for(self, keys) -> np.ndarray:
-        """Integer ``keys`` as int64 slot ids; a growing table first grows
-        to its largest key. Raises ``TypeError`` for keys that are not
-        integers and ``IndexError`` for a negative key."""
+    def slots_for(self, keys, *, grow: bool = True) -> np.ndarray:
+        """Integer ``keys`` as int64 slot ids; with ``grow`` a growing table
+        first grows to its largest key. Raises ``TypeError`` for keys that
+        are not integers and ``IndexError`` for a negative key, one past
+        int64 or one past a dense table's end."""
         keys = np.asarray(keys)
         if keys.size == 0:
             return keys.astype(np.int64)
         if keys.dtype.kind not in "iu":
             raise TypeError(f"keys must be integer slot ids, not {keys.dtype}")
         slots = keys.astype(np.int64, copy=False)
-        if slots.min() < 0:
-            raise IndexError(f"slot {slots.min()} is negative")
-        if self._grows:
+        if slots.min() < 0:  # negative, or uint64 past int64
+            raise IndexError(f"slot {keys[slots < 0][0]} is out of range")
+        if not self._grows and slots.max() >= self.n_slots:
+            bad = keys[slots >= self.n_slots][0]
+            raise IndexError(f"slot {bad} is out of range for {self.n_slots} slots")
+        if self._grows and grow:
             self._grow(int(slots.max()) + 1 - self.n_slots)
         return slots
 
     # -------------------------------------------------------------- windows
     def _raise_windows(self, j: int, idx: np.ndarray, req: np.ndarray) -> None:
-        """Raise windows of slots ``idx`` (column j) to at least ``req``.
-
-        Level shifts move int64 deviations between levels exactly.
-        """
+        """Raise windows of slots ``idx`` (column j) to at least ``req``;
+        level shifts move int64 deviations between levels exactly."""
         cur = self.e_top[j, idx]
-        empty = cur == EMPTY_E
-        self.e_top[j, idx[empty]] = req[empty]
-        liveidx = idx[~empty]
-        livereq = req[~empty]
-        livecur = cur[~empty]
-        need = livereq > livecur
-        if np.any(need):
-            ii = liveidx[need]
-            s = (livereq[need] - livecur[need]) // self.fmt.W
-            for sv in np.unique(s):
-                sel = ii[s == sv]
-                if sv >= self.L:
-                    self.dev[j][:, sel] = 0
-                    self.C[j][:, sel] = 0
-                else:
-                    self.dev[j][sv:, sel] = self.dev[j][: self.L - sv, sel]
-                    self.dev[j][:sv, sel] = 0
-                    self.C[j][sv:, sel] = self.C[j][: self.L - sv, sel]
-                    self.C[j][:sv, sel] = 0
-            self.e_top[j, ii] = livereq[need]
+        need = (cur != EMPTY_E) & (req > cur)
+        top = np.maximum(cur, req)  # EMPTY_E is below any window
+        for a in (self.dev[j], self.C[j]):
+            a[:, idx[need]] = self._aligned(a[:, idx[need]], cur[need], top[need])
+        self.e_top[j, idx] = top
         # only the upper rail: a later raise may still lift a window above
         # the lower one, so that is checked on the final windows
-        e = self.e_top[j, idx]
-        self.fmt.check_window(e[e > self.fmt.e_top_max], self.L)
+        self.fmt.check_window(top[top > self.fmt.e_top_max], self.L)
+
+    def _aligned(self, a: np.ndarray, e: np.ndarray, top: np.ndarray) -> np.ndarray:
+        """Levels ``a (L, k)`` of windows ``e`` moved, in place, into windows
+        ``top >= e`` and returned: level lev takes level lev - (top - e) / W,
+        or 0. An empty window (``EMPTY_E``) holds zeros, which stay."""
+        s = (top - np.where(e == EMPTY_E, top, e)) // self.fmt.W
+        k = np.flatnonzero(s)
+        src = np.arange(self.L)[:, None] - s[k]
+        a[:, k] = np.where(src >= 0, np.take_along_axis(a[:, k], np.maximum(src, 0), 0), 0)
+        return a
 
     def _prepare_windows(self, j: int, slots: np.ndarray, absvals: np.ndarray):
         """Per-batch extractor-validity check (Algorithm 3 line 4)."""
@@ -341,76 +332,55 @@ class GroupedBinnedAcc:
 
     # ---------------------------------------------------------------- merge
     def merge_state_rows(self, keys, e_tops, devs, Cs, j: int = 0) -> None:
-        """Merge exported state rows (possibly several per key) into column j.
-
-        ``e_tops (k,)``, ``devs``/``Cs`` ``(k, L)`` int64 — the layout
-        produced by :meth:`export_states`. Rows with
-        ``EMPTY_E`` are identity elements and are skipped.
+        """``+=(repro)`` of exported rows ``e_tops (k,)``, ``devs``/``Cs``
+        ``(k, L)`` (:meth:`export_states`' layout), at most one per key
+        (else ``ValueError``), into column j, as ``_merged`` says.
+        ``EMPTY_E`` rows are identities whose keys still appear in the output.
         """
-        e_tops = np.asarray(e_tops, np.int64)
-        devs = np.asarray(devs, np.int64).reshape(-1, self.L)
-        Cs = np.asarray(Cs, np.int64).reshape(-1, self.L)
-        liverow = e_tops != EMPTY_E
-        if not np.any(liverow):
-            # still materialise the keys so they appear in the output
-            self.slots_for(np.asarray(keys))
-            return
-        slots = self.slots_for(np.asarray(keys))
-        slots, e_tops, devs, Cs = (
-            slots[liverow], e_tops[liverow], devs[liverow], Cs[liverow]
-        )
-        # target window per touched slot = max(own, all incoming rows)
-        tgt = np.full(self.n_slots, EMPTY_E, np.int64)
-        np.maximum.at(tgt, slots, e_tops)
-        idx = np.flatnonzero(tgt != EMPTY_E)
-        self._raise_windows(j, idx, tgt[idx])
-        s = (self.e_top[j, slots] - e_tops) // self.fmt.W
-        # canonical incoming rows carry < 2**(m-2) units each — 2**11 times
-        # a single deposit's bound — so weight them accordingly against the
-        # lazy-renorm budget, adding at most 2**11 rows per slot between
-        # two checks of it: no int64 sum can wrap, however many rows one
-        # slot receives in one call (tested).
-        rnd = _rank_within(slots) >> 11
-        for r in range(int(rnd.max()) + 1):
-            part = rnd == r
-            for sv in np.unique(s[part]):
-                if sv >= self.L:
-                    continue
-                sel = np.flatnonzero(part & (s == sv))
-                for lev in range(self.L - sv):
-                    np.add.at(self.dev[j, lev + sv], slots[sel], devs[sel, lev])
-                    np.add.at(self.C[j, lev + sv], slots[sel], Cs[sel, lev])
-            self._note_adds(int(part.sum()) << 11)
-
-    # the traced perfbench run reads this; goes after ROADMAP item 1
-    def adopt_strided(self, other: "GroupedBinnedAcc", base: int,
-                      stride: int) -> None:
-        """Adopt ``other``'s slots at positions ``base + i*stride``.
-
-        The transfer phase of a partitioned aggregation with private
-        tables (``ReproAcc.merge_from``): each holds *disjoint* groups
-        (global key = base + local*stride), so its states can be copied —
-        no summation needed. The target slots must be EMPTY.
-        """
-        other.renorm_all()
-        n = min(other.n_slots, (self.n_slots - base + stride - 1) // stride)
-        sl = slice(base, base + n * stride, stride)
-        if np.any(self.e_top[:, sl] != EMPTY_E):
-            raise ValueError("adopt_strided target slots must be empty")
-        self.e_top[:, sl] = other.e_top[:, :n]
-        self.dev[:, :, sl] = other.dev[:, :, :n]
-        self.C[:, :, sl] = other.C[:, :, :n]
+        slots = self.slots_for(keys, grow=False)
+        if np.bincount(slots).max(initial=0) > 1:
+            raise ValueError("merge_state_rows takes at most one row per key")
+        self._store(slots, {j: self._merged(j, slots, e_tops, devs, Cs)})
 
     def merge(self, other: "GroupedBinnedAcc") -> "GroupedBinnedAcc":
+        """``+=(repro)`` of every slot and column of ``other``, which stays."""
         if other.fmt is not self.fmt or other.L != self.L or other.ncols != self.ncols:
             raise TypeError("incompatible accumulators")
-        other.renorm_all()
-        okeys = other.keys()
-        for j in range(self.ncols):
-            self.merge_state_rows(
-                okeys, other.e_top[j], other.dev[j].T, other.C[j].T, j=j
-            )
+        slots = self.slots_for(other.keys(), grow=False)
+        self._store(slots, {j: self._merged(j, slots, other.e_top[j], other.dev[j].T,
+                                            other.C[j].T) for j in range(self.ncols)})
         return self
+
+    def _merged(self, j: int, slots: np.ndarray, e_tops, devs, Cs):
+        """Column j's ``(e_top, dev, C)`` of ``slots`` after ``+=`` of the
+        rows, as ``ReproSum.mergeStates`` computes it: a folded copy of
+        each row and the slot's state (empty past a growing table's end)
+        are aligned to the larger window and added level by level. A carry
+        sum that leaves int64 raises ``OverflowError``. Only copies are
+        changed, so a merge that raises leaves the table as it was."""
+        e_in = np.asarray(e_tops, np.int64)
+        d_in, c_in = (np.array(x, np.int64).reshape(-1, self.L).T for x in (devs, Cs))
+        renorm(d_in, c_in, self.fmt)
+        d_in[:, e_in == EMPTY_E] = c_in[:, e_in == EMPTY_E] = 0  # identities
+        old = slots < self.n_slots
+        e = np.full(slots.size, EMPTY_E, np.int64)
+        d, c = np.zeros_like(d_in), np.zeros_like(c_in)
+        e[old], d[:, old], c[:, old] = (a[..., slots[old]] for a in (
+            self.e_top[j], self.dev[j], self.C[j]))
+        top = np.maximum(e, e_in)  # EMPTY_E is below any window
+        self.fmt.check_window(top[top > self.fmt.e_top_max], self.L)
+        d, c, d_in, c_in = (self._aligned(x, w, top) for x, w in (
+            (d, e), (c, e), (d_in, e_in), (c_in, e_in)))
+        _check_add(c, c_in)
+        return top, d + d_in, c + c_in
+
+    def _store(self, slots: np.ndarray, merged: dict) -> None:
+        """Write ``{j: _merged(j, slots, ...)}`` into ``slots``."""
+        self.slots_for(slots)  # grows a growing table
+        for j, (e, d, c) in merged.items():
+            self.e_top[j, slots], self.dev[j][:, slots], self.C[j][:, slots] = e, d, c
+        # a folded row adds < 2**(m-2) units to a level: 2**11 deposits' bound
+        self._note_adds(1 << 11)
 
     # ------------------------------------------------------------- export
     def export_states(self, j: int = 0):
@@ -420,12 +390,7 @@ class GroupedBinnedAcc:
         """
         self.fmt.check_window(self.e_top, self.L)
         self.renorm_all()
-        return (
-            self.keys(),
-            self.e_top[j].copy(),
-            self.dev[j].T.copy(),
-            self.C[j].T.copy(),
-        )
+        return self.keys(), self.e_top[j].copy(), self.dev[j].T.copy(), self.C[j].T.copy()
 
     def finalize(self) -> np.ndarray:
         """Per-slot rounded sums, shape (n_slots, ncols) in the format dtype.

@@ -59,6 +59,18 @@ class FloatFormat:
     def itemsize(self) -> int:
         return np.dtype(self.dtype).itemsize
 
+    @property
+    def max_L(self) -> int:
+        """The most levels whose lowest extractor ``1.5*2**(m-(L-1)*W)``
+        is a normal number: 27 for double, 9 for single."""
+        return 1 + (self.m - np.finfo(self.dtype).minexp) // self.W
+
+    def check_L(self, L: int) -> None:
+        """Raise ``ValueError`` unless ``1 <= L <= max_L``."""
+        if not 1 <= L <= self.max_L:
+            raise ValueError(f"L={L} is outside [1, {self.max_L}], the levels whose "
+                             f"extractors are normal {self.dtype.name} numbers")
+
     def extractor(self, e):
         """The level extractor ``M = 1.5 * 2**e`` in this format.
 

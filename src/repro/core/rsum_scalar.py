@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _kernels
 from .binned import finalize_state
 from .params import EMPTY_E, fmt_for
 
@@ -35,9 +36,8 @@ class RsumScalar:
     """Per-element reproducible summation in ``dtype`` float arithmetic."""
 
     def __init__(self, L: int = 2, dtype=np.float64):
-        if L < 1:
-            raise ValueError("L must be >= 1")
         self.fmt = fmt_for(dtype)
+        self.fmt.check_L(L)
         self.L = L
         self.e_top: int = EMPTY_E
         self.S: np.ndarray | None = None  # float running sums, format dtype
@@ -56,7 +56,7 @@ class RsumScalar:
         t = fmt.dtype.type
         b = t(b)
         if not np.isfinite(b):
-            raise ValueError("reproducible summation is defined for finite inputs")
+            raise _kernels.nonfinite_error(b)
         if b == 0:
             return self
         if self.S is None:

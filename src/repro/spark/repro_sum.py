@@ -79,11 +79,7 @@ def repro_sum(col, *, L: int = 2, dtype="float64") -> Column:
     ``float``).
     """
     fmt = fmt_for(np.float32 if str(dtype) in ("float32", "float") else np.float64)
-    # the lowest extractor, 1.5 * 2**(m - (L-1)*W), must be a normal number
-    max_L = 1 + (fmt.m - np.finfo(fmt.dtype).minexp) // fmt.W
-    if not 1 <= L <= max_L:
-        raise ValueError(f"repro_sum: L={L} is outside [1, {max_L}], the levels "
-                         f"whose extractors are normal {fmt.dtype.name} numbers")
+    fmt.check_L(L)
     name = col if isinstance(col, str) else col._jc.toString()
     arg = F.col(_q(col)) if isinstance(col, str) else col
     spark = SparkSession.active()

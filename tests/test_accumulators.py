@@ -94,6 +94,21 @@ class TestRepro:
         b.update(keys, vals)
         assert a.result_bits() == b.result_bits()
 
+    def test_merge_from_stride(self):
+        """Private tables of 4 partitions, partition p holding the groups
+        ``p + 4i``, merged into a shared table with a stride (the last
+        partitions are short): the bits of one pass."""
+        keys, vals = np_groupby_input(5000, 30, dist="mixed", seed=2)
+        one = make_acc("repro", 30, L=2)
+        one.update(keys, vals)
+        shared = make_acc("repro", 30, L=2)
+        for p in range(4):
+            sel = keys % 4 == p
+            private = make_acc("repro", 8, L=2)
+            private.update(keys[sel] // 4, vals[sel])
+            shared.merge_from(private, base=p, stride=4)
+        assert shared.result_bits() == one.result_bits()
+
     def test_float32_finalize_dtype(self):
         acc = make_acc("repro", 4, dtype=np.float32, L=2)
         acc.update(np.array([1]), np.array([2.5], np.float32))

@@ -52,6 +52,14 @@ class TestBasics:
         with pytest.raises(ValueError):
             BinnedSum(L=0)
 
+    def test_rejects_L_past_the_normal_extractors(self):
+        """``GroupedBinnedAcc(L=40)`` used to be accepted, and every
+        nonzero value then raised at finalize."""
+        with pytest.raises(ValueError, match=r"L=28 is outside \[1, 27\]"):
+            BinnedSum(L=28)
+        with pytest.raises(ValueError, match=r"L=10 is outside \[1, 9\]"):
+            BinnedSum(L=10, dtype=np.float32)
+
     def test_out_of_range_magnitude_raises(self):
         with pytest.raises(ValueError):
             BinnedSum().add(1e305)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.core import GroupedBinnedAcc
+from repro.core import EMPTY_E, GroupedBinnedAcc
 from repro.synth_data import np_groupby_input
 
 
@@ -65,19 +65,45 @@ class TestInvariance:
         assert np.array_equal(bits(a.merge(b).finalize()), bits(ref))
 
     def test_merge_state_rows_with_duplicate_keys(self):
-        """Several partial rows per key (the Spark post-shuffle shape)."""
+        """A key given twice in one call raises before anything changes;
+        the 5 partials of the Spark post-shuffle shape, merged one call
+        each, give the one-pass bits."""
         keys, vals = np_groupby_input(12000, 20, dist="uniform12", seed=5)
         ref = GroupedBinnedAcc(L=2, dense_n_groups=20).update(keys, vals).finalize()
-        parts = []
-        for ks, vs in zip(np.array_split(keys, 5), np.array_split(vals, 5)):
-            parts.append(GroupedBinnedAcc(L=2).update(ks, vs).export_states())
+        parts = [GroupedBinnedAcc(L=2).update(ks, vs).export_states()
+                 for ks, vs in zip(np.array_split(keys, 5), np.array_split(vals, 5))]
         target = GroupedBinnedAcc(L=2, dense_n_groups=20)
-        allk = np.concatenate([p[0] for p in parts]).astype(np.int64)
-        alle = np.concatenate([p[1] for p in parts])
-        alld = np.concatenate([p[2] for p in parts])
-        allc = np.concatenate([p[3] for p in parts])
-        target.merge_state_rows(allk, alle, alld, allc)
+        with pytest.raises(ValueError, match="at most one row per key"):
+            target.merge_state_rows(*(np.concatenate(x) for x in zip(*parts[:2])))
+        assert np.all(target.e_top == EMPTY_E)
+        for part in parts:
+            target.merge_state_rows(*part)
         assert np.array_equal(bits(target.finalize()), bits(ref))
+
+    def test_merge_leaves_its_argument_unchanged(self):
+        """``a.merge(b)`` folds copies of b's rows: b keeps its unfolded
+        (here negative) deviations bit for bit."""
+        keys, vals = np_groupby_input(20000, 50, dist="mixed", seed=4)
+        vals[::3] *= -1
+        a = GroupedBinnedAcc(L=2, dense_n_groups=50).update(keys[:9000], vals[:9000])
+        b = GroupedBinnedAcc(L=2, dense_n_groups=50).update(keys[9000:], vals[9000:])
+        before = b.e_top.copy(), b.dev.copy(), b.C.copy()
+        assert np.any(b.dev < 0)
+        a.merge(b)
+        for x, y in zip(before, (b.e_top, b.dev, b.C)):
+            assert np.array_equal(x, y)
+
+    def test_empty_rows_are_identities(self):
+        """An ``EMPTY_E`` row adds nothing, whatever its levels hold, and
+        its key still appears in a growing table."""
+        acc = GroupedBinnedAcc(L=2).update([0], [3.0])
+        want = acc.export_states()
+        acc.merge_state_rows([0, 4], [EMPTY_E, EMPTY_E], [[7, 7], [7, 7]], [[1, 1], [1, 1]])
+        keys, e, d, c = acc.export_states()
+        assert keys.tolist() == [0, 1, 2, 3, 4]
+        assert e[0] == want[1][0] and np.all(e[1:] == EMPTY_E)
+        assert np.array_equal(d[:1], want[2]) and np.array_equal(c[:1], want[3])
+        assert not d[1:].any() and not c[1:].any()
 
     def test_merge_windows_differ(self):
         """Merging a huge-magnitude partial into a small-magnitude one."""
@@ -130,6 +156,13 @@ class TestEdgeCases:
         for acc in (GroupedBinnedAcc(L=2), GroupedBinnedAcc(L=2, dense_n_groups=4)):
             with pytest.raises(IndexError):
                 acc.update([0, -1], [1.0, 2.0], fast=fast)
+            with pytest.raises(IndexError, match=f"slot {1 << 63} is out of range"):
+                acc.update(np.array([0, 1 << 63], np.uint64), [1.0, 2.0], fast=fast)
+        dense = GroupedBinnedAcc(L=2, dense_n_groups=4)
+        with pytest.raises(IndexError, match="slot 7 is out of range for 4 slots"):
+            dense.update([0, 7], [1.0, 2.0], fast=fast)
+        with pytest.raises(IndexError, match="slot 7 is out of range for 4 slots"):
+            dense.merge_state_rows([7], [0], [[0, 0]], [[0, 0]])
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -143,21 +176,71 @@ class TestEdgeCases:
             acc.update(np.zeros(chunk.size, np.int64), chunk)
         assert acc.finalize()[0, 0] == float(5 << 20)
 
-    def test_merge_many_rows_for_one_slot_in_one_call(self):
-        """20 000 canonical rows of the largest deviation for one slot in
-        one call: their deviations sum to 2**64.3 units, so the merge must
-        renormalise inside the call to stay exact."""
-        n, dev = 20_000, (1 << 50) - 1
-        rows = (np.zeros(n, np.int64), np.zeros(n, np.int64),
-                np.full((n, 1), dev, np.int64), np.zeros((n, 1), np.int64))
+    def test_merge_many_rows_for_one_slot(self):
+        """10 000 one-row merges of the largest folded deviation into one
+        slot: unfolded, their deviations would sum past 2**63 units, so
+        the merge must renormalise between calls to stay exact."""
+        n, dev = 10_000, (1 << 50) - 1
         acc = GroupedBinnedAcc(L=1, dense_n_groups=1)
-        acc.merge_state_rows(*rows)
+        for _ in range(n):
+            acc.merge_state_rows([0], [0], [[dev]], [[0]])
+        _, e, d, c = acc.export_states()
+        assert n * dev >= 1 << 63
+        assert (d[0, 0], c[0, 0]) == (n * dev % (1 << 50), n * dev >> 50)
         want = float(Fraction(n * dev, 1 << 52))  # window 0: units of 2**-52
         assert acc.finalize()[0, 0] == want
-        split = GroupedBinnedAcc(L=1, dense_n_groups=1)
-        for i in range(0, n, 1000):
-            split.merge_state_rows(*(x[i:i + 1000] for x in rows))
-        assert np.array_equal(acc.export_states()[2], split.export_states()[2])
+
+    def test_carry_sum_past_int64_raises(self):
+        """Carries of ``2**62`` merged twice at one level leave int64: the
+        second merge raises, as ``Math.addExact`` does in the JVM, and
+        changes nothing, also when it would have raised the slot's window
+        a level. A carry that the fold at export or finalize would push
+        past int64 raises there too."""
+        acc = GroupedBinnedAcc(L=1, dense_n_groups=1)
+        acc.merge_state_rows([0], [0], [[0]], [[1 << 62]])
+        with pytest.raises(OverflowError, match="exceeds the range of int64"):
+            acc.merge_state_rows([0], [0], [[0]], [[1 << 62]])
+        assert acc.export_states()[3][0, 0] == 1 << 62
+        W = acc.fmt.W
+        acc = GroupedBinnedAcc(L=2, dense_n_groups=1)
+        acc.merge_state_rows([0], [0], [[5, 0]], [[1 << 62, 0]])
+        with pytest.raises(OverflowError):  # level 0 lands on the row's level 1
+            acc.merge_state_rows([0], [W], [[0, 0]], [[0, 1 << 62]])
+        _, e, d, c = acc.export_states()
+        assert (e[0], d.tolist(), c.tolist()) == (0, [[5, 0]], [[1 << 62, 0]])
+        top = GroupedBinnedAcc(L=1, dense_n_groups=1)
+        top.merge_state_rows([0], [0], [[(1 << 50) - 1]], [[(1 << 63) - 1]])
+        top.merge_state_rows([0], [0], [[1]], [[0]])  # dev = 2**50 unfolded
+        with pytest.raises(OverflowError):
+            top.export_states()
+        with pytest.raises(OverflowError):
+            top.finalize()
+
+    def test_failed_merge_changes_nothing(self):
+        """Every check of a merge runs before the table changes: a
+        duplicate key leaves a growing table its size, and a column that
+        overflows leaves the columns before it unmerged."""
+        acc = GroupedBinnedAcc(L=1)
+        with pytest.raises(ValueError, match="at most one row per key"):
+            acc.merge_state_rows([3, 3], [0, 0], [[1], [1]], [[0], [0]])
+        assert acc.n_slots == 0
+        a = GroupedBinnedAcc(L=1, ncols=2, dense_n_groups=1).update([0], [[1.0, 2.0]])
+        a.C[1, 0, 0] = 1 << 62
+        b = GroupedBinnedAcc(L=1, ncols=2, dense_n_groups=1).update([0], [[4.0, 2.0]])
+        b.C[1, 0, 0] = 1 << 62
+        before = a.e_top.copy(), a.dev.copy(), a.C.copy()
+        with pytest.raises(OverflowError):
+            a.merge(b)
+        for x, y in zip(before, (a.e_top, a.dev, a.C)):
+            assert np.array_equal(x, y)
+
+    def test_L_outside_the_normal_extractors_raises(self):
+        """L is checked at construction, with ``repro_sum``'s limits."""
+        for dtype, max_L in ((np.float64, 27), (np.float32, 9)):
+            GroupedBinnedAcc(L=max_L, dtype=dtype)
+            for L in (0, max_L + 1):
+                with pytest.raises(ValueError, match=rf"L={L} is outside \[1, {max_L}\]"):
+                    GroupedBinnedAcc(L=L, dtype=dtype)
 
     def test_export_roundtrip(self):
         keys, vals = np_groupby_input(5000, 8, dist="mixed", seed=8)

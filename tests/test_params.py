@@ -16,6 +16,17 @@ class TestFormats:
         assert (f.m, f.W) == (23, 18)
         assert f.NB == 2**4
 
+    def test_max_L_keeps_the_lowest_extractor_normal(self):
+        for fmt, max_L in ((FORMATS[np.dtype(np.float64)], 27),
+                           (FORMATS[np.dtype(np.float32)], 9)):
+            assert fmt.max_L == max_L
+            tiny = np.finfo(fmt.dtype).tiny
+            assert fmt.extractor(fmt.m - (max_L - 1) * fmt.W) >= tiny
+            assert fmt.extractor(fmt.m - max_L * fmt.W) < tiny
+            fmt.check_L(max_L)
+            with pytest.raises(ValueError, match="outside"):
+                fmt.check_L(max_L + 1)
+
     def test_fmt_for_aliases(self):
         assert fmt_for("float64") is FORMATS[np.dtype(np.float64)]
         assert fmt_for("float32") is FORMATS[np.dtype(np.float32)]

@@ -130,19 +130,38 @@ def test_non_multiple_group_count():
         assert np.allclose(acc.finalize(), ref.finalize(), rtol=1e-12)
 
 
-@pytest.mark.parametrize("key", [1000, -1])
+@pytest.mark.parametrize("key,dtype,G", [
+    pytest.param(1000, np.int64, 1000, id="1000"),
+    pytest.param(-1, np.int64, 1000, id="-1"),
+    pytest.param(1 << 63, np.uint64, 1000, id="uint64-2**63"),
+    pytest.param(-1, np.int8, 1000, id="int8--1"),
+    pytest.param(-1, np.int16, 1 << 17, id="int16--1"),
+])
 @pytest.mark.parametrize("d", [0, 1])
 @pytest.mark.parametrize("kind,kw", [
     ("builtin", {}), ("decimal", {"p": 19}), ("repro", {"L": 2}),
     ("repro_buffered", {"L": 2}),
 ])
-def test_out_of_range_key_raises(kind, kw, d, key):
+def test_out_of_range_key_raises(kind, kw, d, key, dtype, G):
     """A key outside [0, n_groups) is an error at every depth, never a
-    dropped row or a wrapped index."""
-    keys = np.array([0, 5, key], np.int64)
+    dropped row or a wrapped index, and is named as given, whatever the
+    keys' integer dtype."""
+    keys = np.array([0, 5, key], dtype)
     vals = np.array([1.0, 2.0, 4.0])
-    with pytest.raises(IndexError, match=str(key)):
-        partition_and_aggregate(keys, vals, 1000, kind=kind, d=d, **kw)
+    with pytest.raises(IndexError, match=f"key {key} out of range"):
+        partition_and_aggregate(keys, vals, G, kind=kind, d=d, **kw)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("kind,kw", [
+    ("builtin", {}), ("decimal", {"p": 19}), ("repro", {"L": 2}),
+    ("repro_buffered", {"L": 2}),
+])
+def test_float_keys_raise(kind, kw, d):
+    """Float keys raise instead of being truncated to slot ids."""
+    with pytest.raises(TypeError, match="keys must be integer slot ids"):
+        partition_and_aggregate(np.array([0.9, 1.7, 1.2]), np.array([1.0, 2.0, 3.0]),
+                                1 << 17, kind=kind, d=d, **kw)
 
 
 def test_high_digit_routing_owns_contiguous_slices():

@@ -69,9 +69,9 @@ class TestMechanics:
         assert s.finalize() == -100.75
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"finite inputs only \(got nan\)"):
             RsumScalar().add(float("nan"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"finite inputs only \(got inf\)"):
             RsumScalar().add(float("inf"))
 
     @pytest.mark.parametrize("order", [[1e-305, 1.0], [1.0, 1e-305]])
@@ -89,6 +89,12 @@ class TestMechanics:
     def test_rejects_L0(self):
         with pytest.raises(ValueError):
             RsumScalar(L=0)
+
+    @pytest.mark.parametrize("dtype, max_L", [(np.float64, 27), (np.float32, 9)])
+    def test_rejects_L_past_the_normal_extractors(self, dtype, max_L):
+        RsumScalar(L=max_L, dtype=dtype)
+        with pytest.raises(ValueError, match=rf"L={max_L + 1} is outside \[1, {max_L}\]"):
+            RsumScalar(L=max_L + 1, dtype=dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_accuracy_vs_fsum(self, dtype):

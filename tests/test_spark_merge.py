@@ -171,6 +171,62 @@ def test_jvm_merge_of_local_partials_is_the_one_pass_state(spark, dtype):
     assert (want[:, 1 + L:] != 0).any()  # some level carries
 
 
+def _crafted_pairs(fmt, L: int, seed: int) -> np.ndarray:
+    """Pairs of folded states ``(e, dev[L], C[L])``, shape ``(k, 2, 1+2L)``:
+    windows 0 to ``L+1`` levels apart at both guard rails, in either
+    order, ``EMPTY_E`` on either side or both, ``dev = 2**(m-2) - 1`` and ``C = 2**61``
+    at every level, and random signed carries."""
+    rng = np.random.default_rng(seed)
+    lo = fmt.e_bot_min + (L - 1) * fmt.W
+    hi = fmt.e_top_max // fmt.W * fmt.W
+    windows = [(lo + k * fmt.W, lo) for k in range(L + 2)]
+    windows += [(hi, hi - k * fmt.W) for k in range(L + 2)]
+    windows += [(lo, EMPTY_E), (EMPTY_E, hi), (EMPTY_E, EMPTY_E)]
+    pairs = []
+    for e1, e2 in windows + [(b, a) for a, b in windows]:
+        pair = np.zeros((2, 1 + 2 * L), np.int64)
+        pair[:, 0] = e1, e2
+        pair[:, 1:1 + L] = rng.integers(0, 1 << (fmt.m - 2), (2, L))
+        pair[:, 1 + L:] = rng.integers(-(1 << 61), 1 << 61, (2, L))
+        pairs.append(pair)
+        extreme = pair.copy()
+        extreme[:, 1:1 + L] = (1 << (fmt.m - 2)) - 1
+        extreme[:, 1 + L:] = 1 << 61
+        pairs.append(extreme)
+    pairs = np.stack(pairs)
+    pairs[pairs[:, :, 0] == EMPTY_E, 1:] = 0  # as export_states gives them
+    return pairs
+
+
+@pytest.mark.parametrize("L", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_local_and_jvm_merge_agree_on_crafted_states(spark, dtype, L):
+    """Each pair merged by ``merge_state_rows`` (one call per side) and
+    exported is the ``long[]`` of ``ReproSum.mergeStates`` bit for bit;
+    carries of ``2**62`` merged twice raise on both sides."""
+    fmt = fmt_for(dtype)
+    pairs = _crafted_pairs(fmt, L, seed=L)
+    k = len(pairs)
+    acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=k)
+    for side in (0, 1):
+        rows = pairs[:, side]
+        acc.merge_state_rows(np.arange(k), rows[:, 0], rows[:, 1:1 + L], rows[:, 1 + L:])
+    local = np.column_stack(acc.export_states()[1:])
+    udaf = _jar.udaf(spark, "v", fmt, L)
+    jvm = np.array([list(_jvm_merged(spark, udaf, L, pair)) for pair in pairs], np.int64)
+    assert np.array_equal(local, jvm)
+    assert (local[:, 1 + L:] >= 1 << 62).any()  # some carries summed past 2**62
+
+    row = np.zeros(1 + 2 * L, np.int64)
+    row[0], row[1 + L] = fmt.e_top_max // fmt.W * fmt.W, 1 << 62
+    one = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=1)
+    one.merge_state_rows([0], row[:1], row[None, 1:1 + L], row[None, 1 + L:])
+    with pytest.raises(OverflowError, match="exceeds the range of int64"):
+        one.merge_state_rows([0], row[:1], row[None, 1:1 + L], row[None, 1 + L:])
+    with pytest.raises(Exception, match="exceeds the range of a long"):
+        _jvm_merged(spark, udaf, L, np.stack([row, row]))
+
+
 def test_update_folds_low_half_before_it_wraps(spark):
     """One buffer receives 5 * 2**22 deposits of ``1.75 * 2**38`` units
     each, 2**63 units after about 2**24.2 of them: ``update`` folds a
