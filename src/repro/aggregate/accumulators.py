@@ -9,7 +9,9 @@ integers — the paper uses ``__int128`` for p = 38), and the reproducible
 Every backend exposes the same dense-table interface used by
 HASHAGGREGATION / PARTITIONANDAGGREGATE:
 
-* ``update(idx, vals)`` — scatter a batch of values into table rows;
+* ``batch`` — rows per ``update`` in ``hash_aggregate`` (``None``: all);
+* ``update(idx, vals)`` — scatter a batch of values into table rows,
+  whose keys ``core.binned.slot_ids`` checks first;
 * ``merge_from(other, base, stride=1)`` — add a private table into a
   shared one, other's row ``i`` into row ``base + i * stride`` (the
   transfer phase of the paper's Algorithm 4, which
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.binned import GroupedBinnedAcc
+from ..core.binned import GroupedBinnedAcc, slot_ids
 
 __all__ = [
     "BuiltinAcc",
@@ -33,6 +35,9 @@ __all__ = [
     "make_acc",
 ]
 
+#: rows per ``update`` of the NumPy kinds; the batch size changes no bit
+BATCH = 1 << 16
+
 
 class BuiltinAcc:
     """Built-in float32/float64 accumulation: one scatter-add per element.
@@ -41,12 +46,13 @@ class BuiltinAcc:
     Not reproducible: result bits depend on the order of the adds.
     """
 
-    kind = "builtin"
+    kind, batch = "builtin", BATCH
 
     def __init__(self, n_groups: int, dtype=np.float64):
         self.table = np.zeros(n_groups, dtype)
 
     def update(self, idx: np.ndarray, vals: np.ndarray) -> None:
+        idx = slot_ids(idx, self.table.size)
         np.add.at(self.table, idx, vals.astype(self.table.dtype, copy=False))
 
     # the traced perfbench run reads this; goes after ROADMAP item 1
@@ -75,7 +81,7 @@ class DecimalAcc:
     scale is unknown or whose magnitudes vary widely.
     """
 
-    kind = "decimal"
+    kind, batch = "decimal", BATCH
 
     def __init__(self, n_groups: int, p: int = 19, frac: int = 2):
         self.p, self.frac = p, frac
@@ -95,6 +101,7 @@ class DecimalAcc:
         return np.rint(np.asarray(vals, np.float64) * self.scale).astype(np.int64)
 
     def update(self, idx: np.ndarray, vals: np.ndarray) -> None:
+        idx = slot_ids(idx, (self.lo if self._two_limb else self.table).size)
         x = self._scaled(vals)
         if self._two_limb:
             np.add.at(self.lo, idx, x & 0x7FFFFFFF)
@@ -138,15 +145,13 @@ class ReproAcc:
     L scatter-adds — the source of the paper's 4–12x slowdown.
     """
 
-    kind = "repro"
+    kind, batch = "repro", BATCH
 
     def __init__(self, n_groups: int, dtype=np.float64, L: int = 2):
         self.acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=n_groups)
 
     def update(self, idx: np.ndarray, vals: np.ndarray) -> None:
-        self.acc.update_slots(
-            idx, np.asarray(vals, self.acc.fmt.dtype), fast=False
-        )
+        self.acc.update(idx, vals, fast=False)
 
     # the traced perfbench run reads this; goes after ROADMAP item 1
     def merge_from(self, other: "ReproAcc", base: int, stride: int = 1) -> None:
@@ -173,15 +178,15 @@ class BufferedReproAcc(ReproAcc):
     gives the same bits without it (see DESIGN.md §5). ``hash_aggregate``
     deposits its whole input — partition-ordered under
     ``partition_and_aggregate``, so the kernel splits it over threads by
-    slot — in one ``update`` (``GroupedBinnedAcc.update_slots`` cuts it
-    into kernel calls of at most 2**22 rows); ``finalize`` rounds in the
-    same compiled library.
+    slot — in one ``update`` (``GroupedBinnedAcc.update`` cuts it into
+    kernel calls of at most 2**22 rows); ``finalize`` rounds in the same
+    compiled library.
     """
 
-    kind = "repro_buffered"
+    kind, batch = "repro_buffered", None
 
     def update(self, idx: np.ndarray, vals: np.ndarray) -> None:
-        self.acc.update_slots(idx, np.asarray(vals, self.acc.fmt.dtype))
+        self.acc.update(idx, vals)
 
 
 def make_acc(kind: str, n_groups: int, **kw):

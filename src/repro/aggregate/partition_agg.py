@@ -20,7 +20,7 @@ run on the usable cores (see DESIGN.md §5); the deposit and finalize
 that follow split their work over the same threads by slot, so no two
 threads touch one group. It routes on ``((uint64)key >> s) & (F - 1)``,
 which stays in bounds for any key, so the keys are checked once, by
-``hash_aggregate``.
+the table they enter (``core.binned.slot_ids``).
 
 The partition writes into a per-thread scratch pair that every call on
 the thread reuses (16 bytes per row of the largest input the thread has
@@ -83,8 +83,8 @@ def partition_and_aggregate(
 
     ``d`` (levels of partitioning) defaults to the offline thresholds of
     ``tuning.choose_depth``. ``kind`` and ``kw`` (the accumulator's own
-    arguments) go to ``hash_aggregate``, which raises ``IndexError`` for
-    a key outside ``[0, n_groups)``.
+    arguments) go to ``hash_aggregate``, whose table raises ``IndexError``
+    for a key outside ``[0, n_groups)``.
     """
     if d is None:
         d = choose_depth(n_groups, kind)

@@ -109,6 +109,18 @@ def nonfinite_error(x) -> ValueError:
                       f"(got {x})")
 
 
+def key_error(key, n: int) -> IndexError:
+    return IndexError(f"key {key} is out of range [0, {n})")
+
+
+def integer_keys(keys) -> np.ndarray:
+    """``keys`` as an array; ``TypeError`` unless it is empty or integer."""
+    keys = np.asarray(keys)
+    if keys.size and keys.dtype.kind not in "iu":
+        raise TypeError(f"keys must be integer slot ids, not {keys.dtype}")
+    return keys
+
+
 def overflow_error() -> OverflowError:
     return OverflowError("a group's level sum exceeds the range of int64; "
                          "split the group")
@@ -147,7 +159,7 @@ def deposit(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
     if rc == _DEP_RANGE:
         _raise_window(fmt, L, bad.value, "deposit")
     if rc == _DEP_SLOT:
-        raise IndexError(f"slot {slots[bad.value]} out of range for {ns} slots")
+        raise key_error(slots[bad.value], ns)
 
 
 def finalize(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
@@ -215,9 +227,7 @@ def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
     """
     if F < 1 or F & (F - 1):
         raise ValueError("fan-out must be a power of two")
-    given = np.asarray(keys)
-    if given.size and given.dtype.kind not in "iu":
-        raise TypeError(f"keys must be integer slot ids, not {given.dtype}")
+    given = integer_keys(keys)
     # uint64 keys are routed on their bits and come back as uint64
     keys = np.ascontiguousarray(
         given.view(np.int64) if given.dtype == np.uint64 else given, np.int64)

@@ -35,12 +35,27 @@ from . import _kernels
 from .params import EMPTY_E, FloatFormat, fmt_for
 
 __all__ = [
+    "slot_ids",
     "deposit_units",
     "renorm",
     "finalize_state",
     "BinnedSum",
     "GroupedBinnedAcc",
 ]
+
+
+def slot_ids(keys, n: int) -> np.ndarray:
+    """Integer ``keys`` as int64 ids of a table of ``n`` slots: the key
+    check of every table. Raises ``TypeError`` for keys that are not
+    integers and ``IndexError`` naming the first key outside ``[0, n)``
+    as given. One unsigned max pass: a negative key, read as int64, is a
+    huge unsigned one; uint64 keys are viewed, not copied."""
+    keys = _kernels.integer_keys(keys)
+    ids = keys.view(np.int64) if keys.dtype == np.uint64 else keys.astype(np.int64, copy=False)
+    u = ids.view(np.uint64)
+    if ids.size and int(u.max()) >= n:
+        raise _kernels.key_error(keys[u >= n][0], n)
+    return ids
 
 
 def deposit_units(fmt: FloatFormat, L: int, values: np.ndarray, e_top: np.ndarray):
@@ -138,7 +153,8 @@ class BinnedSum:
 
     def add_vector(self, values) -> "BinnedSum":
         v = np.asarray(values, dtype=self.fmt.dtype).ravel()
-        self._acc.update_slots(np.zeros(v.size, np.int64), v)
+        _kernels.check_finite(v)
+        self._acc._deposit(np.zeros(v.size, np.int64), v[:, None], True)
         return self
 
     def add(self, x) -> "BinnedSum":
@@ -164,7 +180,7 @@ class GroupedBinnedAcc:
     One instance holds, for every group and every value column, a binned
     summation state. Deposit paths:
 
-    * :meth:`update` / :meth:`update_slots` with ``fast=True`` — the
+    * :meth:`update` with ``fast=True`` — the
       compiled deposit loop of ``_kernels.c``, one call per batch;
     * ``fast=False`` — the *unbuffered* NumPy path: one gather + L
       extractions + L scatter-adds **per element**, mirroring the cost
@@ -172,9 +188,10 @@ class GroupedBinnedAcc:
       (paper Section IV / Figure 4).
 
     Keys are slot ids: ints in ``[0, n_slots)`` (the paper's
-    IDENTITYHASHING setup; no lookup cost). A table built with
-    ``dense_n_groups`` has that many slots; one built without grows to
-    its largest key. Callers with other keys factorise them first.
+    IDENTITYHASHING setup; no lookup cost), checked by :func:`slot_ids`
+    wherever they enter. A table built with ``dense_n_groups`` has that
+    many slots; one built without grows to its largest key. Callers with
+    other keys factorise them first.
     """
 
     def __init__(self, *, L: int = 2, dtype=np.float64, ncols: int = 1,
@@ -199,31 +216,20 @@ class GroupedBinnedAcc:
     def keys(self) -> np.ndarray:
         return np.arange(self.n_slots)
 
-    def _grow(self, add: int) -> None:
-        """Append ``add`` empty slots, the slot ids that follow."""
+    def _grow(self, slots: np.ndarray) -> None:
+        """Append empty slots up to the largest of the int64 ``slots``."""
+        add = int(slots.max(initial=-1)) + 1 - self.n_slots
         if add > 0:
             self.e_top, self.dev, self.C = (
                 np.concatenate([a, np.full(a.shape[:-1] + (add,), v, np.int64)], axis=-1)
                 for a, v in ((self.e_top, EMPTY_E), (self.dev, 0), (self.C, 0)))
 
     def slots_for(self, keys, *, grow: bool = True) -> np.ndarray:
-        """Integer ``keys`` as int64 slot ids; with ``grow`` a growing table
-        first grows to its largest key. Raises ``TypeError`` for keys that
-        are not integers and ``IndexError`` for a negative key, one past
-        int64 or one past a dense table's end."""
-        keys = np.asarray(keys)
-        if keys.size == 0:
-            return keys.astype(np.int64)
-        if keys.dtype.kind not in "iu":
-            raise TypeError(f"keys must be integer slot ids, not {keys.dtype}")
-        slots = keys.astype(np.int64, copy=False)
-        if slots.min() < 0:  # negative, or uint64 past int64
-            raise IndexError(f"slot {keys[slots < 0][0]} is out of range")
-        if not self._grows and slots.max() >= self.n_slots:
-            bad = keys[slots >= self.n_slots][0]
-            raise IndexError(f"slot {bad} is out of range for {self.n_slots} slots")
+        """:func:`slot_ids` of ``keys`` below ``n_slots`` in a dense table,
+        below 2**63 in a growing one, which ``grow`` then grows to them."""
+        slots = slot_ids(keys, 1 << 63 if self._grows else self.n_slots)
         if self._grows and grow:
-            self._grow(int(slots.max()) + 1 - self.n_slots)
+            self._grow(slots)
         return slots
 
     # -------------------------------------------------------------- windows
@@ -277,29 +283,27 @@ class GroupedBinnedAcc:
         ``fast=False`` is the per-element NumPy cost model of the drop-in
         ``repro<ScalarT,L>`` type of Section IV (one gather + L generic
         extractions + L scatter-adds per element). Both produce identical
-        bits (tested). A batch holding NaN/Inf raises before any state
-        changes. A window above the upper guard rail raises here; one below
-        the lower rail raises only in ``finalize``/``export_states``, since
-        a later value may still raise it, so the split of the input into
-        calls changes no outcome.
+        bits (tested). Values not of shape ``(len(keys), ncols)``, NaN/Inf
+        and keys :meth:`slots_for` rejects raise before any state changes.
+        A window above the upper guard rail raises here; one below the lower
+        rail raises only in ``finalize``/``export_states``, since a later
+        value may still raise it, so the split of the input into calls
+        changes no outcome.
         """
-        vals = np.asarray(values)
+        keys, vals = np.asarray(keys), np.asarray(values)
         if vals.ndim == 1:
             vals = vals[:, None]
-        if vals.shape[1] != self.ncols:
-            raise ValueError(f"expected {self.ncols} value columns")
-        slots = self.slots_for(keys)
-        self.update_slots(slots, vals, fast=fast)
-        return self
-
-    def update_slots(self, slots: np.ndarray, vals: np.ndarray, *,
-                     fast: bool = True) -> None:
-        vals = np.asarray(vals)
-        if vals.ndim == 1:
-            vals = vals[:, None]
+        if vals.shape != keys.shape + (self.ncols,):
+            raise ValueError(f"values must have shape (len(keys), {self.ncols})")
         # columns contiguous, as the kernel takes them
         vals = np.asfortranarray(vals, dtype=self.fmt.dtype)
         _kernels.check_finite(vals)
+        self._deposit(self.slots_for(keys), vals, fast)
+        return self
+
+    def _deposit(self, slots: np.ndarray, vals: np.ndarray, fast: bool) -> None:
+        """Deposit finite, Fortran-ordered ``vals (n, ncols)`` of the format's
+        dtype into ``slots``, int64 ids of this table; checks none of that."""
         n = vals.shape[0]
         if not fast:
             for j in range(self.ncols):
@@ -309,7 +313,7 @@ class GroupedBinnedAcc:
                     np.add.at(self.dev[j, lev], slots, units[lev])
             self._note_adds(n)
             return
-        slots = np.ascontiguousarray(slots, np.int64)
+        slots = np.ascontiguousarray(slots)
         # one kernel call never exceeds the lazy-renorm budget
         step = _RENORM_EVERY
         for i in range(0, n, step):
@@ -376,7 +380,7 @@ class GroupedBinnedAcc:
 
     def _store(self, slots: np.ndarray, merged: dict) -> None:
         """Write ``{j: _merged(j, slots, ...)}`` into ``slots``."""
-        self.slots_for(slots)  # grows a growing table
+        self._grow(slots)
         for j, (e, d, c) in merged.items():
             self.e_top[j, slots], self.dev[j][:, slots], self.C[j][:, slots] = e, d, c
         # a folded row adds < 2**(m-2) units to a level: 2**11 deposits' bound

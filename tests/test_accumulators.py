@@ -1,5 +1,6 @@
 """Accumulator backends: builtin, DECIMAL(p), repro (un)buffered."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,23 @@ class TestRepro:
         acc = make_acc("repro", 4, dtype=np.float32, L=2)
         acc.update(np.array([1]), np.array([2.5], np.float32))
         assert acc.finalize()[1] == 2.5
+
+
+@pytest.mark.parametrize("key,dtype", [
+    pytest.param(-1, np.int64, id="-1"),
+    pytest.param(4, np.int64, id="4"),
+    pytest.param(1 << 63, np.uint64, id="uint64-2**63"),
+])
+@pytest.mark.parametrize("kind", ["builtin", "decimal", "repro", "repro_buffered"])
+def test_update_rejects_keys_outside_the_table(kind, key, dtype):
+    """Every kind's own ``update`` names a key outside its table and adds
+    nothing: -1 does not wrap into the last group."""
+    acc = make_acc(kind, 4)
+    acc.update(np.array([0, 3]), np.array([1.0, 2.0]))
+    before = acc.result_bits()
+    with pytest.raises(IndexError, match=re.escape(f"key {key} is out of range [0, 4)")):
+        acc.update(np.array([1, key], dtype), np.array([1.0, 8.0]))
+    assert acc.result_bits() == before
 
 
 def test_make_acc_unknown_kind():

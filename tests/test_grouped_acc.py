@@ -1,4 +1,5 @@
 """GroupedBinnedAcc — the GROUPBY state (unbuffered deposit path)."""
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,10 @@ from repro.synth_data import np_groupby_input
 
 def bits(a: np.ndarray) -> np.ndarray:
     return a.view(np.int64) if a.dtype == np.float64 else a.view(np.int32)
+
+
+def _out_of_range(key, n: int) -> str:
+    return re.escape(f"key {key} is out of range [0, {n})")
 
 
 def one_group_sum(vals: np.ndarray, L: int = 2, dtype=np.float64):
@@ -153,15 +158,16 @@ class TestEdgeCases:
         """Keys are slot ids: others are factorised by the caller."""
         with pytest.raises(TypeError, match="integer slot ids"):
             GroupedBinnedAcc(L=2).update(np.array(["a", "b"]), [1.0, 2.0], fast=fast)
-        for acc in (GroupedBinnedAcc(L=2), GroupedBinnedAcc(L=2, dense_n_groups=4)):
-            with pytest.raises(IndexError):
-                acc.update([0, -1], [1.0, 2.0], fast=fast)
-            with pytest.raises(IndexError, match=f"slot {1 << 63} is out of range"):
-                acc.update(np.array([0, 1 << 63], np.uint64), [1.0, 2.0], fast=fast)
+        for acc, n in ((GroupedBinnedAcc(L=2), 1 << 63),
+                       (GroupedBinnedAcc(L=2, dense_n_groups=4), 4)):
+            for key in (-1, 1 << 63):
+                keys = np.array([0, key], np.int64 if key < 0 else np.uint64)
+                with pytest.raises(IndexError, match=_out_of_range(key, n)):
+                    acc.update(keys, [1.0, 2.0], fast=fast)
         dense = GroupedBinnedAcc(L=2, dense_n_groups=4)
-        with pytest.raises(IndexError, match="slot 7 is out of range for 4 slots"):
+        with pytest.raises(IndexError, match=_out_of_range(7, 4)):
             dense.update([0, 7], [1.0, 2.0], fast=fast)
-        with pytest.raises(IndexError, match="slot 7 is out of range for 4 slots"):
+        with pytest.raises(IndexError, match=_out_of_range(7, 4)):
             dense.merge_state_rows([7], [0], [[0, 0]], [[0, 0]])
 
     def test_rejects_nan(self):
@@ -232,6 +238,26 @@ class TestEdgeCases:
         with pytest.raises(OverflowError):
             a.merge(b)
         for x, y in zip(before, (a.e_top, a.dev, a.C)):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "growing"])
+    @pytest.mark.parametrize("keys,vals,exc", [
+        pytest.param([0, 3], [1e10, np.nan], ValueError, id="nan"),
+        pytest.param([0, 3, -1], [1e10, 1.0, 1.0], IndexError, id="bad-key"),
+        pytest.param([0, 3], [[1e10, 1.0], [1.0, 1.0]], ValueError, id="two-columns"),
+    ])
+    def test_failed_update_changes_nothing(self, keys, vals, exc, dense, fast):
+        """Shape, finiteness and keys are checked before the table grows
+        or a window moves: a growing table keeps its size, and rows wider
+        than the table raise instead of losing columns."""
+        acc = GroupedBinnedAcc(L=2, dense_n_groups=4 if dense else None)
+        acc.update([0, 2], [1.0, 3.0], fast=fast)
+        before = acc.n_slots, acc.e_top.copy(), acc.dev.copy(), acc.C.copy()
+        with pytest.raises(exc):
+            acc.update(keys, vals, fast=fast)
+        assert acc.n_slots == before[0]
+        for x, y in zip(before[1:], (acc.e_top, acc.dev, acc.C)):
             assert np.array_equal(x, y)
 
     def test_L_outside_the_normal_extractors_raises(self):

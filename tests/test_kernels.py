@@ -3,6 +3,7 @@ unbuffered path and Algorithm 2, its errors, and how it is built."""
 import ctypes
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -219,7 +220,7 @@ def test_lone_value_below_the_rail_raises_on_its_final_window(x, fast):
 
 
 def test_slot_out_of_range_raises():
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=re.escape("key 3 is out of range [0, 3)")):
         GroupedBinnedAcc(L=2, dense_n_groups=3).update([0, 3], [1.0, 2.0])
 
 
@@ -569,7 +570,7 @@ def test_first_error_in_row_order_is_reported(early, late, exc, monkeypatch):
         return str(info.value)
 
     want = run(1)
-    assert {"slot": "99", "range": "outside supported range",
+    assert {"slot": "key 99 is out of range [0, 16)", "range": "outside supported range",
             "nan": "finite"}[early] in want
     for T in (2, 3, 4):
         assert run(T) == want

@@ -1,4 +1,7 @@
-"""The built package carries the sources its kernels are compiled from."""
+"""The built package carries the sources its kernels are compiled from,
+and every public name it declares."""
+import importlib
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -21,3 +24,13 @@ def test_build_ships_the_kernel_sources(tmp_path):
     assert (lib / "core" / "_kernels.py").is_file()
     for src in ("core/_kernels.c", "spark/ReproSum.java"):
         assert (lib / src).read_bytes() == (ROOT / "src" / "repro" / src).read_bytes()
+
+
+def test_every_public_name_resolves():
+    """Each name in each module's ``__all__`` under ``repro`` exists."""
+    import repro
+    names = [(m.name, n) for m in pkgutil.walk_packages(repro.__path__, "repro.")
+             for n in getattr(importlib.import_module(m.name), "__all__", ())]
+    assert names
+    missing = [(m, n) for m, n in names if not hasattr(sys.modules[m], n)]
+    assert not missing
