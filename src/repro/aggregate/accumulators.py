@@ -11,7 +11,8 @@ HASHAGGREGATION / PARTITIONANDAGGREGATE:
 
 * ``batch`` — rows per ``update`` in ``hash_aggregate`` (``None``: all);
 * ``update(idx, vals)`` — scatter a batch of values into table rows,
-  whose keys ``core.binned.slot_ids`` checks first;
+  whose keys ``core.binned.slot_ids`` checks first; DECIMAL and repro
+  raise ``ValueError`` for values they cannot hold before any change;
 * ``merge_from(other, base, stride=1)`` — add a private table into a
   shared one, other's row ``i`` into row ``base + i * stride`` (the
   transfer phase of the paper's Algorithm 4, which
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import _kernels
 from ..core.binned import GroupedBinnedAcc, slot_ids
 
 __all__ = [
@@ -78,7 +80,9 @@ class DecimalAcc:
     and a two-limb (low 31 bits / high) int64 pair for p=38 standing in
     for ``__int128``. Integer addition is associative, so these are
     reproducible by construction — but they cannot represent data whose
-    scale is unknown or whose magnitudes vary widely.
+    scale is unknown or whose magnitudes vary widely. NaN, ±Inf and values
+    that scale past DECIMAL(p) or int64 raise; sums that leave the table's
+    integers over many rows are not detected.
     """
 
     kind, batch = "decimal", BATCH
@@ -96,13 +100,19 @@ class DecimalAcc:
             self.lo = np.zeros(n_groups, np.int64)
             self.hi = np.zeros(n_groups, np.int64)
             self._two_limb = True
-
-    def _scaled(self, vals: np.ndarray) -> np.ndarray:
-        return np.rint(np.asarray(vals, np.float64) * self.scale).astype(np.int64)
+        # one past the units a value may scale to: DECIMAL(p)'s 10**p - 1
+        # (p <= 9's int32 holds it), the int64 cast's 2**63 - 1; exact floats
+        self._units = float(min(10**p, 2**63))
 
     def update(self, idx: np.ndarray, vals: np.ndarray) -> None:
         idx = slot_ids(idx, (self.lo if self._two_limb else self.table).size)
-        x = self._scaled(vals)
+        v = np.asarray(vals, np.float64)
+        x = np.rint(v * self.scale)
+        i = _kernels.first_outside(x, self._units)
+        if i < x.size:
+            raise ValueError(f"DECIMAL({self.p}, {self.frac}) cannot hold "
+                             f"{v.ravel(order='K')[i]}")
+        x = x.astype(np.int64)
         if self._two_limb:
             np.add.at(self.lo, idx, x & 0x7FFFFFFF)
             np.add.at(self.hi, idx, x >> 31)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.binned import slot_ids
+
 __all__ = ["sort_aggregate"]
 
 
@@ -23,9 +25,11 @@ def sort_aggregate(keys: np.ndarray, values: np.ndarray, n_groups: int,
     input sum to 0). The fold is sequential within each run
     (``np.add.reduceat`` evaluates slices left to right in order), so
     any run of this function on any permutation of the same pairs gives
-    the same bits.
+    the same bits. Keys are checked as every table checks them
+    (``core.binned.slot_ids``): a key that is not an integer raises
+    ``TypeError``, one outside ``[0, n_groups)`` ``IndexError``.
     """
-    keys = np.asarray(keys, np.int64)
+    keys = slot_ids(keys, n_groups)
     v = np.asarray(values, dtype)
     order = np.lexsort((v, keys))
     ks, vs = keys[order], v[order]

@@ -1,6 +1,6 @@
 /* Compiled kernels of the buffered reproducible deposit, of its
- * renormalise-and-round finalize, of the finiteness check before it, and
- * of the radix partition. `_kernels.py`
+ * renormalise-and-round finalize, of the value check before it, and of
+ * the radix partition. `_kernels.py`
  * builds this file on first use and calls it through ctypes, with the
  * number of threads each call runs on (see run_tasks).
  *
@@ -20,11 +20,10 @@
 #define EMPTY_E INT64_MIN
 
 /* Return codes of the deposit and finalize kernels; `*bad` says where. */
-enum { DEP_OK = 0, DEP_NONFINITE = 1, DEP_RANGE = 2, DEP_SLOT = 3, DEP_OVERFLOW = 4 };
+enum { DEP_OK = 0, DEP_RANGE = 1, DEP_SLOT = 2, DEP_OVERFLOW = 3 };
 
-/* frexp exponent of a zero value, and of NaN/Inf. */
+/* frexp exponent of a zero value. */
 #define ZERO_EFR INT64_MIN
-#define NONFINITE_EFR INT64_MAX
 
 /* floor(a / b) for b > 0. */
 static inline int64_t floor_div(int64_t a, int64_t b)
@@ -64,15 +63,13 @@ static inline int64_t to_units(double x, int64_t k)
     return (int64_t)(x * pow2(k));
 }
 
-/* frexp exponent of x: |x| in [2**(efr-1), 2**efr), from the bits. */
+/* frexp exponent of finite x: |x| in [2**(efr-1), 2**efr), from its bits. */
 static inline int64_t efr_f64(double x)
 {
     uint64_t b;
     memcpy(&b, &x, sizeof b);
     int64_t ex = (int64_t)((b >> 52) & 0x7ff);
     uint64_t mant = b & ((UINT64_C(1) << 52) - 1);
-    if (ex == 0x7ff)
-        return NONFINITE_EFR;
     if (ex)
         return ex - 1022;
     if (!mant)
@@ -86,8 +83,6 @@ static inline int64_t efr_f32(float x)
     memcpy(&b, &x, sizeof b);
     int64_t ex = (int64_t)((b >> 23) & 0xff);
     uint64_t mant = b & ((UINT32_C(1) << 23) - 1);
-    if (ex == 0xff)
-        return NONFINITE_EFR;
     if (ex)
         return ex - 126;
     if (!mant)
@@ -193,25 +188,26 @@ struct fin_task {
  *
  * State: e_top[ns], dev[L][ns], C[L][ns] (int64, level-major). W, the
  * mantissa bits m and the guard rails [e_min, e_max] are those of the
- * format (FloatFormat). Two passes over a task's rows:
+ * format (FloatFormat). Values are not checked: they have passed
+ * check_values (finite, below FloatFormat.abs_limit), so no window rises
+ * above e_max. Two passes over a task's rows:
  *
- * 1. (raise) per value: check finiteness and that the slot is one the
- *    task owns, take the grid exponent of the value's natural window from
- *    its bits and raise the slot's window to it, shifting dev/C as
- *    GroupedBinnedAcc._raise_windows does. A value needs a raise iff
- *    efr + m - W + 1 > e_top (EMPTY_E is the smallest int64), so
- *    steady-state values skip the division. The upper guard rail is
- *    checked per raise. The lower one is not: a later value may still
- *    raise the window above it, so it is checked on the final windows,
- *    by finalize and export_states.
+ * 1. (raise) per value: check that the slot is one the task owns, which
+ *    keeps every write inside the task's slots, take the grid exponent of
+ *    the value's natural window from its bits and raise the slot's window
+ *    to it, shifting dev/C as GroupedBinnedAcc._prepare_windows does. A
+ *    value needs a raise iff efr + m - W + 1 > e_top (EMPTY_E is the
+ *    smallest int64), so steady-state values skip the division. The lower
+ *    guard rail is not checked: a later value may still raise the window
+ *    above it, so it is checked on the final windows, by finalize and
+ *    export_states.
  * 2. (add) per value, per level l: q = (r + M_l) - M_l in the format's
  *    arithmetic, units = q * 2**(m - e + l*W) exactly in double, r -= q.
  *    Levels below e_min are skipped: their extractor would not be a
  *    normal number, and any raise that makes the window legal shifts
  *    them out, so they cannot reach a result bit.
  *
- * The rc of pass 1 is DEP_OK, or an error code with bad the offending
- * value index (DEP_NONFINITE, DEP_SLOT) or window exponent (DEP_RANGE).
+ * The rc of pass 1 is DEP_OK, or DEP_SLOT with bad the offending row.
  */
 #define DEFINE_DEPOSIT(NAME, T, EFR, EXTRACTOR, M)                            \
     static void *NAME##_raise(void *arg)                                      \
@@ -219,7 +215,7 @@ struct fin_task {
         struct dep_task *a = arg;                                             \
         const T *v = a->v;                                                    \
         const int64_t *slots = a->slots;                                      \
-        int64_t ns = a->c.ns, L = a->c.L, W = a->c.W, e_max = a->c.e_max;     \
+        int64_t ns = a->c.ns, L = a->c.L, W = a->c.W;                         \
         int64_t *e_top = a->c.e_top, *dev = a->c.dev, *C = a->c.C;           \
         uint64_t slo = a->slo, owned = a->shi - a->slo;                       \
         a->rc = DEP_OK;                                                       \
@@ -230,22 +226,12 @@ struct fin_task {
                 a->rc = DEP_SLOT;                                             \
                 return NULL;                                                  \
             }                                                                 \
-            if (efr == NONFINITE_EFR) {                                       \
-                a->bad = i;                                                   \
-                a->rc = DEP_NONFINITE;                                        \
-                return NULL;                                                  \
-            }                                                                 \
             if (efr == ZERO_EFR)                                              \
                 continue; /* zeros deposit nothing and open no window */      \
             int64_t req = efr + (M) - W + 1, cur = e_top[s];                  \
             if (req <= cur)                                                   \
                 continue;                                                     \
             int64_t e = -floor_div(-req, W) * W;                              \
-            if (e > e_max) {                                                  \
-                a->bad = e;                                                   \
-                a->rc = DEP_RANGE;                                            \
-                return NULL;                                                  \
-            }                                                                 \
             if (cur != EMPTY_E) {                                             \
                 shift_levels(dev, ns, L, s, (e - cur) / W);                   \
                 shift_levels(C, ns, L, s, (e - cur) / W);                     \
@@ -280,11 +266,10 @@ struct fin_task {
     }                                                                         \
                                                                               \
     int NAME(int64_t n, const T *v, const int64_t *slots, int64_t ns,         \
-             int64_t L, int64_t W, int64_t e_max, int64_t e_min,              \
-             int64_t *e_top, int64_t *dev, int64_t *C, int64_t threads,       \
-             int64_t *bad)                                                    \
+             int64_t L, int64_t W, int64_t e_min, int64_t *e_top,             \
+             int64_t *dev, int64_t *C, int64_t threads, int64_t *bad)         \
     {                                                                         \
-        struct dep_task a = {{ns, L, W, e_max, e_min, e_top, dev, C},         \
+        struct dep_task a = {{ns, L, W, 0 /* e_max */, e_min, e_top, dev, C},\
                              v, slots, 0, n, 0, (uint64_t)ns, DEP_OK, 0};     \
         return deposit(&a, threads, NAME##_raise, NAME##_add, bad);           \
     }
@@ -315,9 +300,9 @@ static int64_t first_at_least(const int64_t *slots, int64_t lo, int64_t hi,
  * stopped met such a row (rows out of order, or a bad slot), the call
  * reruns on one thread, which owns every slot: raising a window to the
  * same value twice changes nothing, and shifts compose, so the windows
- * the threads raised first change no bit. Any other error is that
- * thread's, which is the first in row order, as on one thread. After an
- * error, windows may be raised; nothing is deposited.
+ * the threads raised first change no bit, and the first bad slot in row
+ * order is the one reported. After an error, windows may be raised;
+ * nothing is deposited.
  */
 static int deposit(const struct dep_task *a, int64_t threads, task_fn raise,
                    task_fn add, int64_t *bad)
@@ -347,10 +332,6 @@ static int deposit(const struct dep_task *a, int64_t threads, task_fn raise,
         if (t == B) {
             run_tasks(B, add, task, sizeof *task);
             return DEP_OK;
-        }
-        if (task[t].rc != DEP_SLOT) {
-            *bad = task[t].bad;
-            return task[t].rc;
         }
     }
     task[0] = *a;
@@ -448,41 +429,46 @@ DEFINE_DEPOSIT(repro_deposit_f32, float, efr_f32, extractor_f32, 23)
 DEFINE_FINALIZE(repro_finalize_f64, double, pow2, 52)
 DEFINE_FINALIZE(repro_finalize_f32, float, pow2f, 23)
 
-/* A thread's share of a finiteness scan: elements [lo, hi), and the
- * first non-finite one among them (hi if none). */
+/* A thread's share of a value scan: elements [lo, hi), and the first one
+ * among them outside the limit (hi if none). */
 struct scan_task {
     const void *v;
+    uint64_t limit;
     int64_t lo, hi, first;
 };
 
 /*
- * Index of the first NaN or Inf among v[0..n), n if none, on `threads`
- * threads, each scanning a contiguous chunk; the lowest chunk with one
- * holds the first. A value is non-finite iff its exponent bits are all
- * set.
+ * Index of the first value among v[0..n) that is NaN, Inf or of magnitude
+ * at least the float whose bits are `limit` (finite, > 0), n if none, on
+ * `threads` threads, each scanning a contiguous chunk; the lowest chunk
+ * with one holds the first. One unsigned compare of the sign-cleared bits
+ * tests all three: the bits of non-negative floats order as their values,
+ * and those of Inf and NaN lie above every finite value's.
  */
-#define DEFINE_FIRST_NONFINITE(NAME, T, U, EXP)                               \
+#define DEFINE_FIRST_OUTSIDE(NAME, T, U)                                      \
     static void *NAME##_scan(void *arg)                                       \
     {                                                                         \
         struct scan_task *a = arg;                                            \
         const T *v = a->v;                                                    \
+        U abs_mask = (U)-1 >> 1, limit = (U)a->limit;                         \
         int64_t i;                                                            \
         for (i = a->lo; i < a->hi; i++) {                                     \
             U b;                                                              \
             memcpy(&b, &v[i], sizeof b);                                      \
-            if ((b & (EXP)) == (EXP))                                         \
+            if ((b & abs_mask) >= limit)                                      \
                 break;                                                        \
         }                                                                     \
         a->first = i;                                                         \
         return NULL;                                                          \
     }                                                                         \
                                                                               \
-    int64_t NAME(int64_t n, const T *v, int64_t threads)                      \
+    int64_t NAME(int64_t n, const T *v, uint64_t limit, int64_t threads)      \
     {                                                                         \
         struct scan_task task[MAX_THREADS];                                   \
         int64_t Tn = clamp_threads(threads), t;                               \
         for (t = 0; t < Tn; t++)                                              \
-            task[t] = (struct scan_task){v, n * t / Tn, n * (t + 1) / Tn, 0}; \
+            task[t] = (struct scan_task){v, limit, n * t / Tn,                \
+                                         n * (t + 1) / Tn, 0};                \
         run_tasks(Tn, NAME##_scan, task, sizeof *task);                       \
         for (t = 0; t < Tn; t++) {                                            \
             if (task[t].first < task[t].hi)                                   \
@@ -491,10 +477,8 @@ struct scan_task {
         return n;                                                             \
     }
 
-DEFINE_FIRST_NONFINITE(repro_first_nonfinite_f64, double, uint64_t,
-                       UINT64_C(0x7ff) << 52)
-DEFINE_FIRST_NONFINITE(repro_first_nonfinite_f32, float, uint32_t,
-                       UINT32_C(0xff) << 23)
+DEFINE_FIRST_OUTSIDE(repro_first_outside_f64, double, uint64_t)
+DEFINE_FIRST_OUTSIDE(repro_first_outside_f32, float, uint32_t)
 
 /* Bytes in a cache line: the unit the partition writes its output in. */
 #define LINE 64

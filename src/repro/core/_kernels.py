@@ -1,6 +1,6 @@
 """Compiled kernels (``_kernels.c``) through ctypes.
 
-The buffered deposit, its finalize, the finiteness scan before it and the
+The buffered deposit, its finalize, the value scan before it and the
 radix partition.
 
 The C source is compiled on first use with ``cc`` into
@@ -40,7 +40,7 @@ _MAX_THREADS = 64
 #: bytes in a cache line (LINE in _kernels.c)
 _LINE = 64
 
-_DEP_NONFINITE, _DEP_RANGE, _DEP_SLOT, _DEP_OVERFLOW = 1, 2, 3, 4
+_DEP_RANGE, _DEP_SLOT, _DEP_OVERFLOW = 1, 2, 3
 
 
 def _artifact(cache_dir: Path = _CACHE) -> Path:
@@ -62,9 +62,9 @@ def _artifact(cache_dir: Path = _CACHE) -> Path:
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     for name, args, res in (
-            ("deposit", [i64, ptr, ptr, *[i64] * 5, ptr, ptr, ptr, i64, ptr], ctypes.c_int),
+            ("deposit", [i64, ptr, ptr, *[i64] * 4, ptr, ptr, ptr, i64, ptr], ctypes.c_int),
             ("finalize", [*[i64] * 5, ptr, ptr, ptr, ptr, i64, i64, ptr], ctypes.c_int),
-            ("first_nonfinite", [i64, ptr, i64], i64)):
+            ("first_outside", [i64, ptr, i64, i64], i64)):
         for f in (getattr(lib, f"repro_{name}_f64"), getattr(lib, f"repro_{name}_f32")):
             f.argtypes, f.restype = args, res
     lib.repro_partition.argtypes = [i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr,
@@ -137,12 +137,12 @@ def deposit(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
     """Deposit ``v[i]`` into slot ``slots[i]`` of one column's state, in place.
 
     ``e_top (n_slots,)``, ``dev``/``C`` ``(L, n_slots)``: one value
-    column of ``GroupedBinnedAcc``. Raises ``ValueError`` for NaN/Inf or
-    a window outside the format's range, ``IndexError`` for a slot id
-    outside ``[0, n_slots)``; the first such row in row order is the one
-    reported, whatever the thread count. Rows ordered on their slots'
-    high bits (partition-ordered or key-sorted) are deposited on
-    ``threads(len(v))`` threads; other rows on one.
+    column of ``GroupedBinnedAcc``. The values must have passed
+    :func:`check_values`; they are not checked again. Raises
+    ``IndexError`` for a slot id outside ``[0, n_slots)``; the first such
+    row in row order is the one reported, whatever the thread count. Rows
+    ordered on their slots' high bits (partition-ordered or key-sorted)
+    are deposited on ``threads(len(v))`` threads; other rows on one.
     """
     ns = _slots(L, e_top, dev, C)
     slots = np.ascontiguousarray(slots, np.int64)
@@ -151,13 +151,9 @@ def deposit(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
         raise ValueError("slots and values must be 1-D of the same length")
     bad = ctypes.c_int64(0)
     rc = _kernel("deposit", fmt.dtype)(
-        v.size, v.ctypes.data, slots.ctypes.data, ns, L, fmt.W, fmt.e_top_max,
-        fmt.e_bot_min, e_top.ctypes.data, dev.ctypes.data, C.ctypes.data,
-        threads(v.size), ctypes.byref(bad))
-    if rc == _DEP_NONFINITE:
-        raise nonfinite_error(v[bad.value])
-    if rc == _DEP_RANGE:
-        _raise_window(fmt, L, bad.value, "deposit")
+        v.size, v.ctypes.data, slots.ctypes.data, ns, L, fmt.W, fmt.e_bot_min,
+        e_top.ctypes.data, dev.ctypes.data, C.ctypes.data, threads(v.size),
+        ctypes.byref(bad))
     if rc == _DEP_SLOT:
         raise key_error(slots[bad.value], ns)
 
@@ -185,24 +181,29 @@ def finalize(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
         raise overflow_error()
 
 
-def first_nonfinite(v: np.ndarray) -> int:
-    """Index of the first NaN or Inf of ``v`` in memory order, ``v.size`` if none.
-
-    ``v``: a C- or Fortran-contiguous float32 or float64 array. Scans on
-    ``threads(v.size)`` threads and allocates nothing per element.
-    """
+def first_outside(v: np.ndarray, limit) -> int:
+    """Index of the first NaN, ±Inf or magnitude ``>= limit`` (finite, > 0)
+    of ``v``, a C- or Fortran-contiguous float32 or float64 array, in
+    memory order; ``v.size`` if none. Scans on ``threads(v.size)`` threads
+    and allocates nothing per element."""
     if v.dtype not in (np.float32, np.float64) or not (
             v.flags.c_contiguous or v.flags.f_contiguous):
         raise ValueError("expected a contiguous float32 or float64 array")
-    return _kernel("first_nonfinite", v.dtype)(v.size, v.ctypes.data, threads(v.size))
+    bits = int(np.array(limit, v.dtype).view(f"u{v.itemsize}"))
+    return _kernel("first_outside", v.dtype)(v.size, v.ctypes.data, bits, threads(v.size))
 
 
-def check_finite(v: np.ndarray) -> None:
-    """Raise ``ValueError``, naming the value, unless every value of ``v``
-    (as :func:`first_nonfinite` takes it) is finite."""
-    i = first_nonfinite(v)
+def check_values(fmt: FloatFormat, L: int, v: np.ndarray) -> None:
+    """The value check of every deposit: raise ``ValueError`` unless every
+    value of ``v`` (as :func:`first_outside` takes it) is finite and below
+    ``fmt.abs_limit``. NaN/Inf raise naming the value; a larger magnitude
+    raises ``check_window``'s range text for its window at L levels."""
+    i = first_outside(v, fmt.abs_limit)
     if i < v.size:
-        raise nonfinite_error(v.ravel(order="K")[i])
+        x = v.ravel(order="K")[i]
+        if not np.isfinite(x):
+            raise nonfinite_error(x)
+        _raise_window(fmt, L, int(fmt.top_exponent(abs(x))), "first_outside")
 
 
 def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,

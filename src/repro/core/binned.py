@@ -23,7 +23,9 @@ invariant ``S in [1.5, 1.75)*ufp(S)`` is ``dev in [0, 2**(m-2))``.
 Keeping ``dev``/``C`` as int64 makes every accumulation step exact by
 construction; renormalisation (the paper's carry-bit propagation) is a
 presentation-layer step performed on export, merge rows and finalise;
-a carry sum that would leave int64 raises ``OverflowError``. The
+a carry sum that would leave int64 raises ``OverflowError``. One value
+check, ``_kernels.check_values``, rejects NaN, ±Inf and magnitudes whose
+window lies above the upper guard rail before any state changes. The
 float-state reference of Algorithm 2 lives in ``rsum_scalar.py`` and is
 tested to agree bit-for-bit.
 """
@@ -153,8 +155,7 @@ class BinnedSum:
 
     def add_vector(self, values) -> "BinnedSum":
         v = np.asarray(values, dtype=self.fmt.dtype).ravel()
-        _kernels.check_finite(v)
-        self._acc._deposit(np.zeros(v.size, np.int64), v[:, None], True)
+        self._acc.update(np.zeros(v.size, np.int64), v)
         return self
 
     def add(self, x) -> "BinnedSum":
@@ -189,7 +190,8 @@ class GroupedBinnedAcc:
 
     Keys are slot ids: ints in ``[0, n_slots)`` (the paper's
     IDENTITYHASHING setup; no lookup cost), checked by :func:`slot_ids`
-    wherever they enter. A table built with ``dense_n_groups`` has that
+    wherever they enter; values are checked by ``_kernels.check_values``
+    before them. A table built with ``dense_n_groups`` has that
     many slots; one built without grows to its largest key. Callers with
     other keys factorise them first.
     """
@@ -233,19 +235,6 @@ class GroupedBinnedAcc:
         return slots
 
     # -------------------------------------------------------------- windows
-    def _raise_windows(self, j: int, idx: np.ndarray, req: np.ndarray) -> None:
-        """Raise windows of slots ``idx`` (column j) to at least ``req``;
-        level shifts move int64 deviations between levels exactly."""
-        cur = self.e_top[j, idx]
-        need = (cur != EMPTY_E) & (req > cur)
-        top = np.maximum(cur, req)  # EMPTY_E is below any window
-        for a in (self.dev[j], self.C[j]):
-            a[:, idx[need]] = self._aligned(a[:, idx[need]], cur[need], top[need])
-        self.e_top[j, idx] = top
-        # only the upper rail: a later raise may still lift a window above
-        # the lower one, so that is checked on the final windows
-        self.fmt.check_window(top[top > self.fmt.e_top_max], self.L)
-
     def _aligned(self, a: np.ndarray, e: np.ndarray, top: np.ndarray) -> np.ndarray:
         """Levels ``a (L, k)`` of windows ``e`` moved, in place, into windows
         ``top >= e`` and returned: level lev takes level lev - (top - e) / W,
@@ -257,7 +246,10 @@ class GroupedBinnedAcc:
         return a
 
     def _prepare_windows(self, j: int, slots: np.ndarray, absvals: np.ndarray):
-        """Per-batch extractor-validity check (Algorithm 3 line 4)."""
+        """Per-batch extractor-validity check (Algorithm 3 line 4): raise the
+        windows of ``slots`` (column j) to their values' natural windows,
+        level shifts moving int64 deviations exactly; returns each row's
+        window, 0 while empty."""
         if slots.size:
             # only the batch's span of slots: partition-ordered input keeps
             # it near the batch size however large the table is
@@ -265,9 +257,12 @@ class GroupedBinnedAcc:
             amax = np.zeros(int(slots.max()) + 1 - lo, self.fmt.dtype)
             np.maximum.at(amax, slots - lo, absvals)
             idx = np.flatnonzero(amax > 0)
-            if idx.size:
-                req = self.fmt.top_exponent(amax[idx])
-                self._raise_windows(j, idx + lo, req)
+            req, idx = self.fmt.top_exponent(amax[idx]), idx + lo
+            up = req > self.e_top[j, idx]  # EMPTY_E is below any window
+            idx, req = idx[up], req[up]
+            for a in (self.dev[j], self.C[j]):
+                a[:, idx] = self._aligned(a[:, idx], self.e_top[j, idx], req)
+            self.e_top[j, idx] = req
         e = self.e_top[j, slots]
         return np.where(e == EMPTY_E, 0, e)
 
@@ -283,9 +278,10 @@ class GroupedBinnedAcc:
         ``fast=False`` is the per-element NumPy cost model of the drop-in
         ``repro<ScalarT,L>`` type of Section IV (one gather + L generic
         extractions + L scatter-adds per element). Both produce identical
-        bits (tested). Values not of shape ``(len(keys), ncols)``, NaN/Inf
-        and keys :meth:`slots_for` rejects raise before any state changes.
-        A window above the upper guard rail raises here; one below the lower
+        bits (tested). Values not of shape ``(len(keys), ncols)``, values
+        ``_kernels.check_values`` rejects (NaN/Inf, or a magnitude whose
+        window lies above the upper guard rail) and keys :meth:`slots_for`
+        rejects raise before any state changes. A window below the lower
         rail raises only in ``finalize``/``export_states``, since a later
         value may still raise it, so the split of the input into calls
         changes no outcome.
@@ -297,30 +293,23 @@ class GroupedBinnedAcc:
             raise ValueError(f"values must have shape (len(keys), {self.ncols})")
         # columns contiguous, as the kernel takes them
         vals = np.asfortranarray(vals, dtype=self.fmt.dtype)
-        _kernels.check_finite(vals)
-        self._deposit(self.slots_for(keys), vals, fast)
-        return self
-
-    def _deposit(self, slots: np.ndarray, vals: np.ndarray, fast: bool) -> None:
-        """Deposit finite, Fortran-ordered ``vals (n, ncols)`` of the format's
-        dtype into ``slots``, int64 ids of this table; checks none of that."""
-        n = vals.shape[0]
-        if not fast:
-            for j in range(self.ncols):
-                e = self._prepare_windows(j, slots, np.abs(vals[:, j]))
-                units = deposit_units(self.fmt, self.L, vals[:, j], e)
-                for lev in range(self.L):
-                    np.add.at(self.dev[j, lev], slots, units[lev])
-            self._note_adds(n)
-            return
-        slots = np.ascontiguousarray(slots)
-        # one kernel call never exceeds the lazy-renorm budget
+        _kernels.check_values(self.fmt, self.L, vals)
+        slots = np.ascontiguousarray(self.slots_for(keys))
+        # no step of either path exceeds the lazy-renorm budget
         step = _RENORM_EVERY
-        for i in range(0, n, step):
+        for i in range(0, vals.shape[0], step):
+            s, v = slots[i:i + step], vals[i:i + step]
             for j in range(self.ncols):
-                _kernels.deposit(self.fmt, self.L, self.e_top[j], self.dev[j],
-                                 self.C[j], slots[i:i + step], vals[i:i + step, j])
-            self._note_adds(min(step, n - i))
+                if fast:
+                    _kernels.deposit(self.fmt, self.L, self.e_top[j], self.dev[j],
+                                     self.C[j], s, v[:, j])
+                else:
+                    e = self._prepare_windows(j, s, np.abs(v[:, j]))
+                    units = deposit_units(self.fmt, self.L, v[:, j], e)
+                    for lev in range(self.L):
+                        np.add.at(self.dev[j, lev], s, units[lev])
+            self._note_adds(s.size)
+        return self
 
     def _note_adds(self, n: int) -> None:
         # int64 deviations hold >= 2**22 worst-case contributions between

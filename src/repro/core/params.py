@@ -65,6 +65,14 @@ class FloatFormat:
         is a normal number: 27 for double, 9 for single."""
         return 1 + (self.m - np.finfo(self.dtype).minexp) // self.W
 
+    @property
+    def abs_limit(self):
+        """The smallest magnitude whose natural window lies above the upper
+        rail: ``2**987`` for double, ``2**102`` for single. Every finite
+        value below it has a window at most ``e_top_max``."""
+        e = self.e_top_max // self.W * self.W  # the highest window allowed
+        return np.ldexp(self.dtype.type(1), e - self.m + self.W - 1)
+
     def check_L(self, L: int) -> None:
         """Raise ``ValueError`` unless ``1 <= L <= max_L``."""
         if not 1 <= L <= self.max_L:

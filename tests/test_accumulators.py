@@ -68,6 +68,32 @@ class TestDecimal:
         acc.update(np.zeros(4096, np.int64), np.full(4096, big))
         assert acc.exact_ints()[0] == 4096 * 2**40
 
+    @pytest.mark.parametrize("p,x", [
+        (19, np.nan), (19, np.inf), (19, -np.inf), (9, 2e7), (9, -1e7),
+        (9, 9999999.996), (19, 1e17), (38, 1e17),
+    ])
+    def test_rejects_values_it_cannot_hold(self, p, x):
+        """NaN/Inf and values whose scaled integer leaves DECIMAL(p) or
+        int64 raise, naming the value, before the table changes: NaN does
+        not sum to an int64 cast, nor 2e7 at p = 9 to a wrapped int32."""
+        acc = make_acc("decimal", 2, p=p)
+        acc.update(np.array([0]), np.array([1.0]))
+        before = acc.result_bits()
+        with pytest.raises(ValueError, match=re.escape(f"cannot hold {x}")):
+            acc.update(np.array([1, 0]), np.array([1.0, x]))
+        assert acc.result_bits() == before
+
+    @pytest.mark.parametrize("p,x,units", [
+        (9, 9999999.99, 10**9 - 1), (9, -9999999.994, 1 - 10**9),
+        (19, 9.2e16, 92 * 10**17),
+    ])
+    def test_holds_values_up_to_its_bound(self, p, x, units):
+        """The largest magnitude DECIMAL(p, 2) holds is 10**p - 1 units, and
+        the int64 cast's 2**63 - 1 past p = 18."""
+        acc = make_acc("decimal", 1, p=p)
+        acc.update(np.array([0]), np.array([x]))
+        assert acc.exact_ints() == [units]
+
     def test_cannot_represent_wide_dynamic_range(self):
         """The paper's point (Section II-C): fixed-point loses tiny values."""
         acc = make_acc("decimal", 1, p=19, frac=2)

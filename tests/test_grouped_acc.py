@@ -244,13 +244,15 @@ class TestEdgeCases:
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "growing"])
     @pytest.mark.parametrize("keys,vals,exc", [
         pytest.param([0, 3], [1e10, np.nan], ValueError, id="nan"),
+        pytest.param([0, 3], [1e10, 1e308], ValueError, id="above-rail"),
         pytest.param([0, 3, -1], [1e10, 1.0, 1.0], IndexError, id="bad-key"),
         pytest.param([0, 3], [[1e10, 1.0], [1.0, 1.0]], ValueError, id="two-columns"),
     ])
     def test_failed_update_changes_nothing(self, keys, vals, exc, dense, fast):
-        """Shape, finiteness and keys are checked before the table grows
-        or a window moves: a growing table keeps its size, and rows wider
-        than the table raise instead of losing columns."""
+        """Shape, values (finite and below the upper guard rail) and keys
+        are checked before the table grows or a window moves: a growing
+        table keeps its size, and rows wider than the table raise instead
+        of losing columns."""
         acc = GroupedBinnedAcc(L=2, dense_n_groups=4 if dense else None)
         acc.update([0, 2], [1.0, 3.0], fast=fast)
         before = acc.n_slots, acc.e_top.copy(), acc.dev.copy(), acc.C.copy()

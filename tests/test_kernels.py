@@ -116,16 +116,27 @@ def test_multicolumn_chunks_match_unbuffered(dtype):
         assert _same_state(_update_in_calls(acc, keys, vals, rows), ref)
 
 
-def test_kernel_calls_stay_within_renorm_budget(monkeypatch):
-    """A batch larger than the lazy-renorm budget is cut into kernel calls
-    of at most that many rows, with the budget checked after each."""
+@pytest.mark.parametrize("fast", [True, False])
+def test_kernel_calls_stay_within_renorm_budget(fast, monkeypatch):
+    """A batch larger than the lazy-renorm budget is cut into deposit steps
+    of at most that many rows, on both paths, with the budget checked
+    after each: so no two renormalisations are more than twice the budget
+    apart, which is what keeps int64 deviations from wrapping."""
     from repro.core import binned
     monkeypatch.setattr(binned, "_RENORM_EVERY", 64)
     keys = np.zeros(1000, np.int64)
     vals = np.full(1000, 1.9 * 2.0**26)  # near-worst units for window 40
-    acc = GroupedBinnedAcc(L=2, dense_n_groups=1).update(keys, vals)
+    ref = GroupedBinnedAcc(L=2, dense_n_groups=1).update(keys, vals, fast=not fast)
+    renorm_all, rows_between = GroupedBinnedAcc.renorm_all, []
+
+    def counted(self):
+        rows_between.append(self._since_renorm)
+        renorm_all(self)
+
+    monkeypatch.setattr(GroupedBinnedAcc, "renorm_all", counted)
+    acc = GroupedBinnedAcc(L=2, dense_n_groups=1).update(keys, vals, fast=fast)
     assert acc._since_renorm <= 64
-    ref = GroupedBinnedAcc(L=2, dense_n_groups=1).update(keys, vals, fast=False)
+    assert len(rows_between) >= 1000 // (2 * 64) and max(rows_between) <= 2 * 64
     assert _same_state(acc, ref)
 
 
@@ -151,25 +162,18 @@ def test_nonfinite_raises_and_leaves_state_untouched(bad, calls_of, monkeypatch)
 
 
 def test_finiteness_check_allocates_no_temporary():
-    """The check before a deposit is one compiled scan: no per-value
+    """The value check before a deposit is one compiled scan: no per-value
     temporary, as ``np.isfinite`` would make."""
     import tracemalloc
-    vals = np.ones((1 << 20, 1))
-    _kernels.check_finite(vals)  # load the kernels first
+    fmt, vals = fmt_for(np.float64), np.ones((1 << 20, 1))
+    _kernels.check_values(fmt, 2, vals)  # load the kernels first
     tracemalloc.start()
     try:
-        _kernels.check_finite(vals)
+        _kernels.check_values(fmt, 2, vals)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16, peak
-
-
-def test_kernel_itself_rejects_nonfinite():
-    fmt = fmt_for(np.float64)
-    e, dev, C = np.full(1, EMPTY_E), np.zeros((2, 1), np.int64), np.zeros((2, 1), np.int64)
-    with pytest.raises(ValueError, match="finite"):
-        _kernels.deposit(fmt, 2, e, dev, C, np.zeros(2, np.int64), np.array([1.0, np.nan]))
 
 
 @pytest.mark.parametrize("dtype,L,x", [
@@ -448,26 +452,30 @@ def test_partition_of_one_row_with_a_wide_stride():
 @pytest.mark.parametrize("T", [1, 2, 3, 4])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_first_nonfinite_in_memory_order(T, dtype, monkeypatch):
-    """The first NaN/Inf in memory order wherever the threads' chunks
-    split, also with a later one behind it; the size if there is none."""
+    """``first_outside`` finds the first NaN/Inf or magnitude at or above
+    the limit in memory order wherever the threads' chunks split, also
+    with a later one behind it; the size if there is none."""
     _force_threads(monkeypatch, T)
     rng = np.random.default_rng(T)
+    lim = fmt_for(dtype).abs_limit
     v = rng.standard_normal(1001).astype(dtype)
-    assert _kernels.first_nonfinite(v) == v.size
-    assert _kernels.first_nonfinite(v[:0]) == 0
-    for bad in (np.nan, np.inf, -np.inf):
+    assert _kernels.first_outside(v, lim) == v.size
+    assert _kernels.first_outside(v[:0], lim) == 0
+    for bad in (np.nan, np.inf, -np.inf, lim, -lim):
         for i in (0, 1, 249, 250, 251, 333, 334, 500, 999, 1000):
             w = v.copy()
             w[i], w[min(i + 300, 1000)] = bad, np.nan
-            assert _kernels.first_nonfinite(w) == i
+            assert _kernels.first_outside(w, lim) == i
     fi = np.finfo(dtype)
-    edge = np.array([0.0, -0.0, fi.tiny / 4, fi.max, -fi.max, fi.tiny], dtype)
-    assert _kernels.first_nonfinite(edge) == edge.size  # subnormals are finite
+    below = np.nextafter(lim, dtype(0))
+    edge = np.array([0.0, -0.0, fi.tiny / 4, fi.tiny, below, -below], dtype)
+    assert _kernels.first_outside(edge, lim) == edge.size  # subnormals pass
+    assert _kernels.first_outside(np.array([1, fi.max], dtype), lim) == 1
     m = np.asfortranarray(rng.standard_normal((100, 3)).astype(dtype))
     m[7, 2], m[50, 0] = np.nan, np.inf
-    assert _kernels.first_nonfinite(m) == 50  # column 0 comes first
+    assert _kernels.first_outside(m, lim) == 50  # column 0 comes first
     with pytest.raises(ValueError, match="contiguous"):
-        _kernels.first_nonfinite(v[::2])
+        _kernels.first_outside(v[::2], lim)
 
 
 def _layout(layout: str, keys, vals, G: int):
@@ -528,30 +536,29 @@ def test_threaded_deposit_matches_unbuffered_and_algorithm2(case, T):
 
 def test_deposit_splits_partitioned_rows_across_threads(monkeypatch):
     """A probe that the bit checks above run the split and not only the
-    one-thread rerun: after a range error in thread 0's rows, the last
-    thread has raised its own slots' windows, which one thread, stopping
-    at the error, never reaches."""
+    one-thread rerun: after a bad key in thread 0's rows, the last thread
+    has raised its own slots' windows, which one thread, stopping at the
+    bad key, never reaches."""
     fmt = fmt_for(np.float64)
     keys = np.repeat(np.arange(16), 4)  # thread t of 4: slots 4t..4t+3
-    vals = np.ones(64)
-    vals[1] = 1e305
+    keys[1] = 99
     for T, reached in ((1, False), (4, True)):
         _force_threads(monkeypatch, T)
         e = np.full(16, EMPTY_E)
         dev, C = np.zeros((2, 16), np.int64), np.zeros((2, 16), np.int64)
-        with pytest.raises(ValueError, match="outside supported range"):
-            _kernels.deposit(fmt, 2, e, dev, C, keys, vals)
+        with pytest.raises(IndexError, match="key 99 is out of range"):
+            _kernels.deposit(fmt, 2, e, dev, C, keys, np.ones(64))
         assert (e[15] != EMPTY_E) == reached
 
 
 @pytest.mark.parametrize("early,late,exc", [
-    ("slot", "range", IndexError), ("range", "slot", ValueError),
-    ("slot", "nan", IndexError), ("nan", "slot", ValueError),
-    ("range", "nan", ValueError),
+    ("slot", "range", IndexError), ("slot", "nan", IndexError),
 ])
 def test_first_error_in_row_order_is_reported(early, late, exc, monkeypatch):
-    """Two bad rows in the ranges of threads 0 and 3 of 4: every thread
-    count reports the early one, with the message of one thread."""
+    """A bad slot in the range of thread 0 of 4 and a value that
+    ``check_values`` would reject in that of thread 3: every thread count
+    reports the slot, with the message of one thread. The kernel does not
+    check values, so the late row never decides the outcome."""
     fmt = fmt_for(np.float64)
 
     def run(T):
@@ -570,8 +577,7 @@ def test_first_error_in_row_order_is_reported(early, late, exc, monkeypatch):
         return str(info.value)
 
     want = run(1)
-    assert {"slot": "key 99 is out of range [0, 16)", "range": "outside supported range",
-            "nan": "finite"}[early] in want
+    assert "key 99 is out of range [0, 16)" in want
     for T in (2, 3, 4):
         assert run(T) == want
 

@@ -42,3 +42,14 @@ def test_float32_dtype():
     keys, vals = np_groupby_input(1000, 4, dtype=np.float32, seed=2)
     out = sort_aggregate(keys, vals, 4, dtype=np.float32)
     assert out.dtype == np.float32
+
+
+@pytest.mark.parametrize("keys,exc", [
+    pytest.param([0, -1], IndexError, id="negative"),
+    pytest.param([0.7, 1.2], TypeError, id="float"),
+])
+def test_keys_are_checked(keys, exc):
+    """Keys follow the rule of every table: a negative key does not land
+    in the last group, nor a float key in the group it truncates to."""
+    with pytest.raises(exc):
+        sort_aggregate(np.array(keys), np.array([1.0, 2.0]), 2)
