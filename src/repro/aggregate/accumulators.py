@@ -187,7 +187,7 @@ class BufferedReproAcc(ReproAcc):
     literal array-per-group layout of Figure 5 is not built: the kernel
     gives the same bits without it (see DESIGN.md §5). ``hash_aggregate``
     deposits its whole input — partition-ordered under
-    ``partition_and_aggregate``, so the kernel splits it over threads by
+    ``partition_and_aggregate``, so the kernel splits it into morsels by
     slot — in one ``update`` (``GroupedBinnedAcc.update`` cuts it into
     kernel calls of at most 2**22 rows); ``finalize`` rounds in the same
     compiled library.

@@ -15,10 +15,10 @@
 
 The partitioning substrate is a compiled stable counting sort
 (``core/_kernels.c``) — the single-pass radix partition of [9, 31, 33]
-with per-thread histograms and write-combined, streaming-store output,
+with per-morsel histograms and write-combined, streaming-store output,
 run on the usable cores (see DESIGN.md §5); the deposit and finalize
-that follow split their work over the same threads by slot, so no two
-threads touch one group. It routes on ``((uint64)key >> s) & (F - 1)``,
+that follow split their work into morsels by slot, so no two threads
+touch one group. It routes on ``((uint64)key >> s) & (F - 1)``,
 which stays in bounds for any key, so the keys are checked once, by
 the table they enter (``core.binned.slot_ids``).
 

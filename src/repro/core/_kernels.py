@@ -10,8 +10,10 @@ may enter at the same time. A C compiler on ``PATH`` is therefore a
 requirement of every ``GroupedBinnedAcc`` deposit and finalize and of the
 radix partition; there is no fallback.
 
-Each kernel call runs on ``threads(rows)`` POSIX threads, worked out
-from the call's own input; the thread count changes no result bit.
+Each kernel call cuts its rows (or slots) into ``morsels(rows)``
+contiguous morsels and runs on ``threads(rows)`` POSIX threads, each
+taking the next morsel until none is left; both counts are worked out
+from the call's own input and change no result bit.
 """
 from __future__ import annotations
 
@@ -37,10 +39,19 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread", "-ffp-contract=off")
 _ROWS_PER_THREAD = 1 << 16
 #: threads per kernel call, at most (MAX_THREADS in _kernels.c)
 _MAX_THREADS = 64
+#: rows (or slots) per morsel, at least; at most _ROWS_PER_THREAD, so a
+#: call has at least as many morsels as threads
+_ROWS_PER_MORSEL = 1 << 16
+#: morsels per kernel call, at most (MAX_MORSELS in _kernels.c)
+_MAX_MORSELS = 64
+#: morsels times fan-out of one partition call, at most, unless that leaves
+#: fewer morsels than threads: it bounds the (M, 2, F) counters (2 MiB at
+#: F = 4096)
+_PART_COUNTERS = 1 << 17
 #: bytes in a cache line (LINE in _kernels.c)
 _LINE = 64
 
-_DEP_RANGE, _DEP_SLOT, _DEP_OVERFLOW = 1, 2, 3
+_DEP_RANGE, _DEP_OVERFLOW = 1, 3
 
 
 def _artifact(cache_dir: Path = _CACHE) -> Path:
@@ -62,13 +73,13 @@ def _artifact(cache_dir: Path = _CACHE) -> Path:
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     for name, args, res in (
-            ("deposit", [i64, ptr, ptr, *[i64] * 4, ptr, ptr, ptr, i64, ptr], ctypes.c_int),
-            ("finalize", [*[i64] * 5, ptr, ptr, ptr, ptr, i64, i64, ptr], ctypes.c_int),
-            ("first_outside", [i64, ptr, i64, i64], i64)):
+            ("deposit", [i64, ptr, ptr, *[i64] * 3, ptr, ptr, ptr, i64, i64, ptr], i64),
+            ("finalize", [*[i64] * 4, ptr, ptr, ptr, ptr, i64, i64, i64, ptr], ctypes.c_int),
+            ("first_outside", [i64, ptr, i64, i64, i64], i64)):
         for f in (getattr(lib, f"repro_{name}_f64"), getattr(lib, f"repro_{name}_f32")):
             f.argtypes, f.restype = args, res
-    lib.repro_partition.argtypes = [i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr,
-                                    i64, ptr, ptr]
+    lib.repro_partition.argtypes = [i64, ptr, ptr, i64, i64, i64, i64, ptr, ptr, ptr,
+                                    i64, i64, ptr, ptr]
     lib.repro_partition.restype = None
     return lib
 
@@ -78,10 +89,22 @@ def threads(rows: int) -> int:
 
     One per CPU this process may run on (its affinity, read on every
     call), at most one per ``_ROWS_PER_THREAD`` rows and at most
-    ``_MAX_THREADS``, at least one.
+    ``_MAX_THREADS``, at least one. Each takes the next of the call's
+    :func:`morsels` until none is left.
     """
     return max(1, min(len(os.sched_getaffinity(0)), rows // _ROWS_PER_THREAD,
                       _MAX_THREADS))
+
+
+def morsels(rows: int) -> int:
+    """Morsels a kernel call over ``rows`` rows (or slots) cuts them into.
+
+    One per ``_ROWS_PER_MORSEL`` rows, at most ``_MAX_MORSELS``, at least
+    one: so at least :func:`threads` for any input. Threads take the next
+    morsel until none is left, so a thread the host slows takes fewer and
+    does not hold up the call.
+    """
+    return max(1, min(rows // _ROWS_PER_MORSEL, _MAX_MORSELS))
 
 
 @functools.cache
@@ -133,16 +156,18 @@ def _raise_window(fmt: FloatFormat, L: int, e: int, kernel: str):
 
 
 def deposit(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
-            C: np.ndarray, slots: np.ndarray, v: np.ndarray) -> None:
+            C: np.ndarray, slots: np.ndarray, v: np.ndarray) -> int:
     """Deposit ``v[i]`` into slot ``slots[i]`` of one column's state, in place.
 
     ``e_top (n_slots,)``, ``dev``/``C`` ``(L, n_slots)``: one value
     column of ``GroupedBinnedAcc``. The values must have passed
     :func:`check_values`; they are not checked again. Raises
-    ``IndexError`` for a slot id outside ``[0, n_slots)``; the first such
-    row in row order is the one reported, whatever the thread count. Rows
-    ordered on their slots' high bits (partition-ordered or key-sorted)
-    are deposited on ``threads(len(v))`` threads; other rows on one.
+    ``IndexError`` for a slot id outside ``[0, n_slots)``, naming the
+    first such row in row order whatever the thread and morsel counts,
+    before the state changes. Rows ordered on their slots' high bits
+    (partition-ordered or key-sorted) are deposited as up to
+    ``morsels(len(v))`` morsels of slots on ``threads(len(v))`` threads;
+    other rows as one morsel on one thread. Returns the morsels deposited.
     """
     ns = _slots(L, e_top, dev, C)
     slots = np.ascontiguousarray(slots, np.int64)
@@ -150,12 +175,13 @@ def deposit(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
     if slots.shape != v.shape or v.ndim != 1:
         raise ValueError("slots and values must be 1-D of the same length")
     bad = ctypes.c_int64(0)
-    rc = _kernel("deposit", fmt.dtype)(
-        v.size, v.ctypes.data, slots.ctypes.data, ns, L, fmt.W, fmt.e_bot_min,
+    ran = _kernel("deposit", fmt.dtype)(
+        v.size, v.ctypes.data, slots.ctypes.data, ns, L, fmt.e_bot_min,
         e_top.ctypes.data, dev.ctypes.data, C.ctypes.data, threads(v.size),
-        ctypes.byref(bad))
-    if rc == _DEP_SLOT:
+        morsels(v.size), ctypes.byref(bad))
+    if ran == 0:
         raise key_error(slots[bad.value], ns)
+    return ran
 
 
 def finalize(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
@@ -163,18 +189,19 @@ def finalize(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
     """Renormalise one column's state in place and round it into ``out``.
 
     ``out (n_slots,)`` in the format's dtype, any stride; bit for bit
-    ``finalize_state`` after ``renorm``, on ``threads(n_slots)`` threads.
-    Raises ``ValueError`` for a live window outside the format's range
-    and ``OverflowError`` for a carry sum that leaves int64.
+    ``finalize_state`` after ``renorm``, over ``morsels(n_slots)`` morsels
+    of slots on ``threads(n_slots)`` threads. Raises ``ValueError`` for a
+    live window outside the format's range and ``OverflowError`` for a
+    carry sum that leaves int64, for the first such slot in slot order.
     """
     ns = _slots(L, e_top, dev, C)
     if out.dtype != fmt.dtype or out.shape != (ns,):
         raise ValueError(f"out must be {fmt.dtype.name} of shape ({ns},)")
     bad = ctypes.c_int64(0)
     rc = _kernel("finalize", fmt.dtype)(
-        ns, L, fmt.W, fmt.e_top_max, fmt.e_bot_min, e_top.ctypes.data,
+        ns, L, fmt.e_top_max, fmt.e_bot_min, e_top.ctypes.data,
         dev.ctypes.data, C.ctypes.data, out.ctypes.data,
-        out.strides[0] // out.itemsize, threads(ns), ctypes.byref(bad))
+        out.strides[0] // out.itemsize, threads(ns), morsels(ns), ctypes.byref(bad))
     if rc == _DEP_RANGE:
         _raise_window(fmt, L, bad.value, "finalize")
     if rc == _DEP_OVERFLOW:
@@ -184,13 +211,14 @@ def finalize(fmt: FloatFormat, L: int, e_top: np.ndarray, dev: np.ndarray,
 def first_outside(v: np.ndarray, limit) -> int:
     """Index of the first NaN, ±Inf or magnitude ``>= limit`` (finite, > 0)
     of ``v``, a C- or Fortran-contiguous float32 or float64 array, in
-    memory order; ``v.size`` if none. Scans on ``threads(v.size)`` threads
-    and allocates nothing per element."""
+    memory order; ``v.size`` if none. Scans ``morsels(v.size)`` morsels on
+    ``threads(v.size)`` threads and allocates nothing per element."""
     if v.dtype not in (np.float32, np.float64) or not (
             v.flags.c_contiguous or v.flags.f_contiguous):
         raise ValueError("expected a contiguous float32 or float64 array")
     bits = int(np.array(limit, v.dtype).view(f"u{v.itemsize}"))
-    return _kernel("first_outside", v.dtype)(v.size, v.ctypes.data, bits, threads(v.size))
+    return _kernel("first_outside", v.dtype)(v.size, v.ctypes.data, bits,
+                                             threads(v.size), morsels(v.size))
 
 
 def check_values(fmt: FloatFormat, L: int, v: np.ndarray) -> None:
@@ -210,21 +238,24 @@ def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
               *, out: tuple[np.ndarray, np.ndarray] | None = None):
     """Stable counting sort of ``(keys, values)`` rows on ``(key >> shift) & (F-1)``.
 
-    Runs on ``threads(len(keys))`` threads; the output is the same for
-    any thread count. Returns ``(keys_part, values_part, bounds)``: the
+    Runs over up to ``morsels(len(keys))`` morsels of rows on
+    ``threads(len(keys))`` threads; the output is the same for any thread
+    or morsel count. Returns ``(keys_part, values_part, bounds)``: the
     rows grouped by partition, in input order within each, and
     ``bounds (F + 1,)`` int64, so partition ``p`` occupies
     ``slice(bounds[p], bounds[p + 1])``. Any int64 key routes to a
     partition in ``[0, F)``, so keys are only checked to be integers
     (else ``TypeError``); uint64 keys are routed on their bits and
-    returned as uint64, the others as int64.
+    returned as uint64, the others as int64. The values' elements must be
+    of 1, 2, 4 or 8 bytes (else ``ValueError``); a row may hold several.
 
     ``out=(keys_out, values_out)`` receives the rows instead of two new
     arrays, which are then returned: C-contiguous, of the shape and dtype
-    of the (int64) keys and of the values, sharing no memory with the
-    input or with each other (else ``ValueError``). The kernel writes the
-    output a cache line at a time with streaming stores, so memory that
-    is already mapped, such as a reused ``out``, takes it fastest.
+    of the (int64) keys and of the values, aligned to their element size,
+    sharing no memory with the input or with each other (else
+    ``ValueError``). The kernel writes the output a cache line at a time
+    with streaming stores, so memory that is already mapped, such as a
+    reused ``out``, takes it fastest.
     """
     if F < 1 or F & (F - 1):
         raise ValueError("fan-out must be a power of two")
@@ -237,6 +268,10 @@ def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
         raise ValueError("keys must be 1-D and values must have one row per key")
     if values.dtype.hasobject:
         raise TypeError("values must be a numeric array, not object dtype")
+    # whole elements are written: each element size divides the line
+    if values.itemsize not in (1, 2, 4, 8):
+        raise ValueError("values must have elements of 1, 2, 4 or 8 bytes, "
+                         f"not {values.itemsize} ({values.dtype})")
     if out is None:
         out_k, out_v = np.empty_like(keys), np.empty_like(values)
     else:
@@ -247,21 +282,25 @@ def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
                 (out_k, out_v), (out_k, keys), (out_k, values),
                 (out_v, keys), (out_v, values))):
             raise ValueError("out must share no memory with the input or itself")
-    # not values.strides[0]: NumPy gives a one-row array any row stride
-    row_bytes = values.itemsize * math.prod(values.shape[1:])
     bounds = np.empty(F + 1, np.int64)
+    # elements per row from the shape, not values.strides[0]: NumPy gives a
+    # one-row array any row stride
+    per_row = math.prod(values.shape[1:])
     T = threads(keys.size)
-    hist = np.empty((T, 2, F), np.int64)
+    M = min(morsels(keys.size), max(T, _PART_COUNTERS // F))
+    hist = np.empty((M, 2, F), np.int64)
     lines = np.empty(T * 2 * F * _LINE + _LINE, np.uint8)  # + _LINE to align
     _lib().repro_partition(
-        keys.size, keys.ctypes.data, values.ctypes.data, row_bytes, F,
-        shift, out_k.ctypes.data, out_v.ctypes.data, bounds.ctypes.data,
-        T, hist.ctypes.data, lines.ctypes.data)
+        keys.size, keys.ctypes.data, values.ctypes.data, values.itemsize,
+        per_row, F, shift, out_k.ctypes.data, out_v.ctypes.data,
+        bounds.ctypes.data, T, M, hist.ctypes.data, lines.ctypes.data)
     return (out_k.view(np.uint64) if given.dtype == np.uint64 else out_k), out_v, bounds
 
 
 def _check_out(o: np.ndarray, like: np.ndarray, name: str) -> None:
     if not (isinstance(o, np.ndarray) and o.dtype == like.dtype
-            and o.shape == like.shape and o.flags.c_contiguous):
+            and o.shape == like.shape and o.flags.c_contiguous
+            and o.ctypes.data % o.itemsize == 0):
         raise ValueError(f"out for the {name} must be a C-contiguous "
-                         f"{like.dtype.name} array of shape {like.shape}")
+                         f"{like.dtype.name} array of shape {like.shape}, "
+                         f"aligned to its {like.itemsize}-byte elements")

@@ -273,8 +273,8 @@ class GroupedBinnedAcc:
         ``fast=True`` (default) is the *batch summation* path — the
         performance realisation of the paper's summation buffers in this
         substrate: the batch plays the buffer's role and is one call of
-        the compiled deposit loop per value column, which raises the
-        batch's windows and then deposits every value's L levels.
+        the compiled deposit loop per value column, which raises each
+        value's slot window and deposits its L levels in one pass.
         ``fast=False`` is the per-element NumPy cost model of the drop-in
         ``repro<ScalarT,L>`` type of Section IV (one gather + L generic
         extractions + L scatter-adds per element). Both produce identical

@@ -2,6 +2,7 @@
 unbuffered path and Algorithm 2, its errors, and how it is built."""
 import ctypes
 import hashlib
+import itertools
 import os
 import re
 import subprocess
@@ -288,12 +289,27 @@ def test_compiled_finalize_writes_every_column():
 
 
 # ------------------------------------------------------------- threads
-def _force_threads(mp: pytest.MonkeyPatch, T: int) -> None:
+_MORSELS = _kernels.morsels
+
+
+def _force_threads(mp: pytest.MonkeyPatch, T: int, M: int | None = None) -> None:
     """Run every kernel call over at least T rows (or slots) on T threads:
-    T CPUs in the affinity, one row per thread. At most 4 threads start."""
+    T CPUs in the affinity, one row per thread. Cut every call into M
+    morsels, or, if M is None, into one morsel per row, up to the most a
+    call takes. At most 4 threads start."""
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(T)))
     mp.setattr(_kernels, "_ROWS_PER_THREAD", 1)
+    mp.setattr(_kernels, "_ROWS_PER_MORSEL", 1)
+    mp.setattr(_kernels, "morsels", _MORSELS if M is None else lambda rows: M)
     assert _kernels.threads(1000) == T
+    assert _kernels.morsels(1000) == (M or _kernels._MAX_MORSELS)
+
+
+def _morsel_counts(T: int) -> tuple[int, ...]:
+    """Morsel counts to run T threads with: one, one per thread, a count
+    above T that is not a power of two, and the most a call takes; the
+    tests' inputs include calls with fewer rows than morsels."""
+    return 1, T, 2 * T + 1, _kernels._MAX_MORSELS
 
 
 def _same_bytes(xs, ys) -> bool:
@@ -324,17 +340,17 @@ def test_partition_on_threads_matches_one_thread(T, monkeypatch):
 
 
 def test_partition_with_fewer_rows_than_threads():
-    """The kernel itself, asked for 4 threads over 0..3 rows."""
+    """The kernel itself, asked for 4 threads and 8 morsels over 0..3 rows."""
     lib = _kernels._lib()
     for n in range(4):
         keys = np.arange(n, dtype=np.int64)[::-1].copy()
         vals = keys * 1.5
         out_k, out_v = np.empty_like(keys), np.empty_like(vals)
-        bounds, hist = np.empty(5, np.int64), np.empty((4, 2, 4), np.int64)
+        bounds, hist = np.empty(5, np.int64), np.empty((8, 2, 4), np.int64)
         lines = np.empty(4 * 2 * 4 * 64 + 64, np.uint8)
-        lib.repro_partition(n, keys.ctypes.data, vals.ctypes.data, 8, 4, 0,
+        lib.repro_partition(n, keys.ctypes.data, vals.ctypes.data, 8, 1, 4, 0,
                             out_k.ctypes.data, out_v.ctypes.data,
-                            bounds.ctypes.data, 4, hist.ctypes.data,
+                            bounds.ctypes.data, 4, 8, hist.ctypes.data,
                             lines.ctypes.data)
         assert _same_bytes((out_k, out_v, bounds), _kernels.partition(keys, vals, 4))
 
@@ -349,16 +365,19 @@ def _at_offset(buf: np.ndarray, off: int, like: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("T", [1, 2, 3, 4])
 def test_scatter_matches_stable_argsort(T, monkeypatch):
     """The write-combined scatter against a stable argsort on the partition
-    id, byte for byte: 2-, 4-, 8-, 12- and 24-byte rows (rows straddle lines),
-    output lines shared between threads and partitions, runs shorter than a
-    line (keys dealt round-robin: each partition gets n / F rows) and all
-    rows in one partition, written into ``out`` arrays at every 8-byte
-    offset from a line, the keys and values at different offsets."""
-    _force_threads(monkeypatch, T)
+    id, byte for byte, for each morsel count of ``_morsel_counts``: 2-, 4-,
+    8-, 12- and 24-byte rows (rows of several elements span lines), output
+    lines shared between morsels and partitions, runs shorter than a line
+    (keys dealt round-robin: each partition gets n / F rows), all rows in
+    one partition and fewer rows than morsels, written into ``out`` arrays
+    at every 8-byte offset from a line, the keys and values at different
+    offsets."""
     rng = np.random.default_rng(T)
     buf_k, buf_v = np.empty(8 * 70_000 + 128, np.uint8), np.empty(24 * 70_000 + 128, np.uint8)
     case = 0
-    for n in (0, 1, 7, 8, 9, 63, 64, 65, (1 << 16) + 3):
+    for n, M in itertools.product((0, 1, 7, 8, 9, 63, 64, 65, (1 << 16) + 3),
+                                  _morsel_counts(T)):
+        _force_threads(monkeypatch, T, M)
         for F in (1, 2, 256, 4096):
             shift = int(rng.integers(0, 4))
             for keys in (rng.integers(-(1 << 20), 1 << 20, n),  # negative keys route too
@@ -385,7 +404,7 @@ def test_scatter_matches_stable_argsort(T, monkeypatch):
 def test_scatter_at_every_line_offset(ok, monkeypatch):
     """Every pair of distinct 8-byte offsets of the key and value outputs
     from a cache line, on 4 threads, fresh output too; rows of 8, 12 and
-    80 bytes (one row spans up to three lines)."""
+    80 bytes (one row's elements span up to three lines)."""
     _force_threads(monkeypatch, 4)
     rng = np.random.default_rng(ok)
     n = 5000
@@ -435,6 +454,26 @@ def test_partition_out_is_checked(case):
     assert _same_bytes((keys, vals), before)
 
 
+def test_partition_takes_whole_aligned_elements():
+    """Values whose elements are not of 1, 2, 4 or 8 bytes, and ``out``
+    arrays not aligned to their element size, raise ``ValueError`` naming
+    the requirement before anything is written."""
+    keys = np.arange(10, dtype=np.int64)
+    for vals in (np.zeros(10, np.complex128), np.zeros(10, "V3"),
+                 np.zeros((10, 2), "S3"), np.zeros(10, "V16")):
+        with pytest.raises(ValueError, match="elements of 1, 2, 4 or 8 bytes"):
+            _kernels.partition(keys, vals, 4)
+    buf_k, buf_v = np.zeros(8 * 10 + 64, np.uint8), np.zeros(8 * 10 + 64, np.uint8)
+    for vals, ok, ov in ((np.ones(10), 4, 0), (np.ones(10), 0, 4),
+                         (np.ones(10, np.float32), 0, 2), (np.ones(10, np.int16), 0, 1),
+                         (np.ones((10, 3), np.float32), 0, 6)):
+        out_k = buf_k[8 + ok:8 + ok + 80].view(np.int64)
+        out_v = buf_v[8 + ov:8 + ov + vals.nbytes].view(vals.dtype).reshape(vals.shape)
+        with pytest.raises(ValueError, match="aligned to its"):
+            _kernels.partition(keys, vals, 4, out=(out_k, out_v))
+        assert not buf_k.any() and not buf_v.any()
+
+
 def test_partition_of_one_row_with_a_wide_stride():
     """A one-row view of a strided array is contiguous with any row stride;
     the kernel copies the row's own bytes, not the stride's."""
@@ -453,19 +492,23 @@ def test_partition_of_one_row_with_a_wide_stride():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_first_nonfinite_in_memory_order(T, dtype, monkeypatch):
     """``first_outside`` finds the first NaN/Inf or magnitude at or above
-    the limit in memory order wherever the threads' chunks split, also
-    with a later one behind it; the size if there is none."""
-    _force_threads(monkeypatch, T)
+    the limit in memory order wherever the morsels split, also with a
+    later one behind it and with fewer values than morsels; the size if
+    there is none."""
     rng = np.random.default_rng(T)
     lim = fmt_for(dtype).abs_limit
     v = rng.standard_normal(1001).astype(dtype)
-    assert _kernels.first_outside(v, lim) == v.size
-    assert _kernels.first_outside(v[:0], lim) == 0
-    for bad in (np.nan, np.inf, -np.inf, lim, -lim):
-        for i in (0, 1, 249, 250, 251, 333, 334, 500, 999, 1000):
-            w = v.copy()
-            w[i], w[min(i + 300, 1000)] = bad, np.nan
-            assert _kernels.first_outside(w, lim) == i
+    for M in _morsel_counts(T):
+        _force_threads(monkeypatch, T, M)
+        assert _kernels.first_outside(v, lim) == v.size
+        assert _kernels.first_outside(v[:0], lim) == 0
+        assert _kernels.first_outside(np.array([1, np.inf], dtype), lim) == 1
+        for bad in (np.nan, np.inf, -np.inf, lim, -lim):
+            for i in (0, 1, 249, 250, 251, 333, 334, 500, 999, 1000):
+                w = v.copy()
+                w[i], w[min(i + 300, 1000)] = bad, np.nan
+                assert _kernels.first_outside(w, lim) == i, (M, i)
+    _force_threads(monkeypatch, T)
     fi = np.finfo(dtype)
     below = np.nextafter(lim, dtype(0))
     edge = np.array([0.0, -0.0, fi.tiny / 4, fi.tiny, below, -below], dtype)
@@ -485,16 +528,17 @@ def _layout(layout: str, keys, vals, G: int):
     if layout == "sorted":
         order = np.argsort(keys, kind="stable")
         return keys[order], vals[order]
-    return keys, vals  # unordered: every thread count reruns on one thread
+    return keys, vals  # unordered: deposited as one morsel
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("L", [1, 2, 4])
 @pytest.mark.parametrize("layout", ["partitioned", "sorted", "unordered"])
 def test_deposit_on_threads_is_bit_equal(dtype, L, layout, monkeypatch):
-    """Bit-equal to one thread and to the NumPy path, for tables smaller
-    than the thread count, of odd sizes and of powers of two. Magnitudes
-    span 16 decades, so windows rise inside every thread's rows."""
+    """Bit-equal to one thread and to the NumPy path, for each thread
+    count and morsel count, for tables smaller than the morsel count, of
+    odd sizes and of powers of two. Magnitudes span 16 decades, so
+    windows rise inside every morsel's rows."""
     rng = np.random.default_rng([L, len(layout)])
     for G in (1, 3, 64, 1000):
         n = 4000
@@ -506,24 +550,26 @@ def test_deposit_on_threads_is_bit_equal(dtype, L, layout, monkeypatch):
         ref = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=G)
         ref.update(keys, vals, fast=False)
         for T in (1, 2, 3, 4):
-            _force_threads(monkeypatch, T)
-            acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=G)
-            acc.update(keys, vals)
-            assert _same_state(acc, ref), (G, T)
-            assert acc.finalize().tobytes() == ref.finalize().tobytes(), (G, T)
+            for M in _morsel_counts(T):
+                _force_threads(monkeypatch, T, M)
+                acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=G)
+                acc.update(keys, vals)
+                assert _same_state(acc, ref), (G, T, M)
+                assert acc.finalize().tobytes() == ref.finalize().tobytes(), (G, T, M)
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(grouped_batches(), st.integers(2, 4))
-def test_threaded_deposit_matches_unbuffered_and_algorithm2(case, T):
+@given(grouped_batches(), st.integers(1, 4), st.integers(0, 3))
+def test_threaded_deposit_matches_unbuffered_and_algorithm2(case, T, which):
     """The property above on key-sorted rows, so every group's windows
-    rise inside the thread that owns it, on 2-4 threads."""
+    rise inside the morsel that owns it, on 1-4 threads and each morsel
+    count of ``_morsel_counts``."""
     dtype, L, G, keys, vals, _ = case
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]
     with pytest.MonkeyPatch.context() as mp:
-        _force_threads(mp, T)
+        _force_threads(mp, T, _morsel_counts(T)[which])
         fast = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=G).update(keys, vals)
     ref = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=G)
     ref.update(keys, vals, fast=False)
@@ -535,20 +581,26 @@ def test_threaded_deposit_matches_unbuffered_and_algorithm2(case, T):
 
 
 def test_deposit_splits_partitioned_rows_across_threads(monkeypatch):
-    """A probe that the bit checks above run the split and not only the
-    one-thread rerun: after a bad key in thread 0's rows, the last thread
-    has raised its own slots' windows, which one thread, stopping at the
-    bad key, never reaches."""
+    """A probe that the bit checks above run the split and not only one
+    morsel: on 4 threads the deposit runs partition-ordered rows as more
+    than one morsel (as many as it may, a power of two), and the same
+    rows unordered, or as two sorted halves, as one, with the same bits."""
     fmt = fmt_for(np.float64)
-    keys = np.repeat(np.arange(16), 4)  # thread t of 4: slots 4t..4t+3
-    keys[1] = 99
-    for T, reached in ((1, False), (4, True)):
-        _force_threads(monkeypatch, T)
-        e = np.full(16, EMPTY_E)
-        dev, C = np.zeros((2, 16), np.int64), np.zeros((2, 16), np.int64)
-        with pytest.raises(IndexError, match="key 99 is out of range"):
-            _kernels.deposit(fmt, 2, e, dev, C, keys, np.ones(64))
-        assert (e[15] != EMPTY_E) == reached
+    rng = np.random.default_rng(16)
+    keys, vals = rng.integers(0, 1000, 5000), rng.standard_normal(5000)
+    ordered = _kernels.partition(keys, vals, 64, 4)[:2]
+    order = np.argsort(keys[:2500], kind="stable")
+    halves = np.r_[order, 2500 + np.argsort(keys[2500:], kind="stable")]
+    for M, want in ((None, _kernels._MAX_MORSELS), (4, 4), (7, 4)):
+        _force_threads(monkeypatch, 4, M)
+        states = []
+        for (k, v), ran in ((ordered, want), ((keys, vals), 1),
+                            ((keys[halves], vals[halves]), 1)):
+            e = np.full(1000, EMPTY_E)
+            dev, C = np.zeros((2, 1000), np.int64), np.zeros((2, 1000), np.int64)
+            assert _kernels.deposit(fmt, 2, e, dev, C, k, v) == ran, M
+            states.append((e, dev, C))
+        assert _same_bytes(states[0], states[1]) and _same_bytes(states[0], states[2])
 
 
 @pytest.mark.parametrize("early,late,exc", [
@@ -582,6 +634,32 @@ def test_first_error_in_row_order_is_reported(early, late, exc, monkeypatch):
         assert run(T) == want
 
 
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_failed_deposit_changes_nothing(T, monkeypatch):
+    """A bad slot in the rows of the first, a middle or the last morsel,
+    after values that would raise windows and shift levels: the deposit
+    raises naming the slot and leaves ``e_top``, ``dev`` and ``C`` byte
+    for byte as they were, on sorted and unordered rows."""
+    fmt = fmt_for(np.float64)
+    rng = np.random.default_rng(T)
+    n, G = 3000, 100
+    keys = np.sort(rng.integers(0, G, n))
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(0, 12, n)
+    e = np.full(G, EMPTY_E)
+    dev, C = np.zeros((2, G), np.int64), np.zeros((2, G), np.int64)
+    _kernels.deposit(fmt, 2, e, dev, C, np.arange(G), np.ones(G))
+    before = e.copy(), dev.copy(), C.copy()
+    for M in _morsel_counts(T):
+        _force_threads(monkeypatch, T, M)
+        for row in (0, n // 2, n - 1):
+            for order in (np.arange(n), rng.permutation(n)):
+                k = keys.copy()
+                k[row] = G + 7
+                with pytest.raises(IndexError, match=f"key {G + 7} is out of range"):
+                    _kernels.deposit(fmt, 2, e, dev, C, k[order], vals[order])
+                assert _same_bytes((e, dev, C), before), (M, row)
+
+
 @pytest.mark.parametrize("dtype,L", [(np.float32, 3), (np.float64, 2), (np.float64, 5)])
 def test_finalize_on_threads_matches_finalize_state(dtype, L, monkeypatch):
     fmt, e, dev, C = _crafted_states(dtype, L, 501, L)
@@ -589,11 +667,15 @@ def test_finalize_on_threads_matches_finalize_state(dtype, L, monkeypatch):
     renorm(rdev, rC, fmt)
     want = finalize_state(fmt, L, e, rdev, rC)
     for T in (1, 2, 3, 4):
-        _force_threads(monkeypatch, T)
-        acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=e.size)
-        acc.e_top[0], acc.dev[0], acc.C[0] = e, dev, C
-        assert acc.finalize()[:, 0].tobytes() == want.tobytes(), T
-        assert _same_bytes(acc.export_states()[1:], (e, rdev.T, rC.T)), T
+        for M in _morsel_counts(T):
+            _force_threads(monkeypatch, T, M)
+            acc = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=e.size)
+            acc.e_top[0], acc.dev[0], acc.C[0] = e, dev, C
+            assert acc.finalize()[:, 0].tobytes() == want.tobytes(), (T, M)
+            assert _same_bytes(acc.export_states()[1:], (e, rdev.T, rC.T)), (T, M)
+            one = GroupedBinnedAcc(L=L, dtype=dtype, dense_n_groups=3)  # < M slots
+            one.e_top[0], one.dev[0], one.C[0] = e[:3], dev[:, :3], C[:, :3]
+            assert one.finalize()[:, 0].tobytes() == want[:3].tobytes(), (T, M)
 
 
 def test_finalize_reports_the_first_bad_window(monkeypatch):
@@ -651,9 +733,9 @@ lib = _kernels._declare(ctypes.CDLL(str(so)))
 keys = np.arange(10, dtype=np.int64)
 out, vals, bounds = np.empty(10, np.int64), np.empty(10), np.empty(3, np.int64)
 hist, lines = np.empty(4, np.int64), np.empty(4 * 64 + 64, np.uint8)
-lib.repro_partition(10, keys.ctypes.data, keys.ctypes.data, 8, 2, 0,
+lib.repro_partition(10, keys.ctypes.data, keys.ctypes.data, 8, 1, 2, 0,
                     out.ctypes.data, vals.ctypes.data, bounds.ctypes.data,
-                    1, hist.ctypes.data, lines.ctypes.data)
+                    1, 1, hist.ctypes.data, lines.ctypes.data)
 assert bounds.tolist() == [0, 5, 10], bounds
 print(so)
 """
