@@ -8,9 +8,10 @@ built-in floats of the same width. The geometric mean of the
 per-n_groups slowdowns is the paper's Table III (1.88–2.35 for float,
 2.12–2.41 for double).
 
-The compiled partition, deposit and finalize run on
-``_kernels.threads(n)`` threads (one per usable CPU, at most one per
-2**16 rows), which the job prints; the built-in baseline is NumPy on one
+The compiled partition, deposit and finalize cut their n rows into
+``_kernels.morsels(n)`` morsels (one per 2**16 rows, at most 64) and run
+on ``_kernels.threads(n)`` threads (one per usable CPU, at most one per
+morsel), which the job prints; the built-in baseline is NumPy on one
 thread, so part of any drop in these ratios is cores, not a cheaper
 algorithm. Pin the process (``taskset -c 0``) to measure one thread.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import _kernels
 from .accumulators import make_acc
 
 __all__ = ["hash_aggregate"]
@@ -32,11 +33,10 @@ def hash_aggregate(
     ``finalize()`` (float64 sums) and ``result_bits()``. The keys go to
     the accumulator as given, ``batch`` rows per ``update`` (the whole
     input where that is ``None``); its table raises ``IndexError`` for a
-    key outside ``[0, n_groups)``, before the batch changes it.
+    key outside ``[0, n_groups)``, before the batch changes it. Keys and
+    values must be 1-D and of one length (else ``ValueError``).
     """
-    keys, values = np.asarray(keys), np.asarray(values)
-    if keys.shape != values.shape:
-        raise ValueError("keys and values must have the same length")
+    keys, values = _kernels.pairs(keys, values)
     acc = make_acc(kind, n_groups, **acc_kw)
     step = acc.batch or keys.size
     for i in range(0, keys.size, max(step, 1)):

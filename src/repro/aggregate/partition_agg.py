@@ -14,17 +14,20 @@
    bits are those of ``hash_aggregate`` on the unpartitioned input.
 
 The partitioning substrate is a compiled stable counting sort
-(``core/_kernels.c``) — the single-pass radix partition of [9, 31, 33]
-with per-morsel histograms and write-combined, streaming-store output,
-run on the usable cores (see DESIGN.md §5); the deposit and finalize
-that follow split their work into morsels by slot, so no two threads
-touch one group. It routes on ``((uint64)key >> s) & (F - 1)``,
+(``core/_kernels.c``) of ⟨key, value⟩ rows, one key and one value each
+as Algorithm 4 partitions them — the single-pass radix partition of
+[9, 31, 33] with per-morsel histograms and write-combined,
+streaming-store output, run on one thread per usable core and at most
+one per morsel (see DESIGN.md §5); the deposit and finalize that follow
+split their work into morsels by slot, so no two threads touch one
+group. It routes on ``((uint64)key >> s) & (F - 1)``,
 which stays in bounds for any key, so the keys are checked once, by
 the table they enter (``core.binned.slot_ids``).
 
 The partition writes into a per-thread scratch pair that every call on
-the thread reuses (16 bytes per row of the largest input the thread has
-partitioned, held until the thread exits), so a query pays for no fresh
+the thread reuses (a key and a value per row of the largest input the
+thread has partitioned, 16 bytes for float64 values, held until the
+thread exits), so a query pays for no fresh
 pages. ``hash_aggregate`` consumes the partitioned rows inside the call
 and no accumulator keeps the arrays its ``update`` receives, so a
 later call cannot change an earlier result.
@@ -47,19 +50,18 @@ __all__ = ["parallel_partition", "partition_and_aggregate"]
 _scratch = threading.local()
 
 
-def _partition_out(n: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's partition output for ``n`` rows like ``values``.
+def _partition_out(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's partition output for ``n`` rows of ``dtype`` values.
 
     The arrays only grow: they are replaced only when ``n`` rows do not
-    fit or the value dtype or row shape differ, and held until the
-    thread exits. Reused, they are memory the kernel has written before,
-    so no call pays for fresh pages.
+    fit or the value dtype differs, and held until the thread exits.
+    Reused, they are memory the kernel has written before, so no call
+    pays for fresh pages.
     """
-    row = (values.dtype, values.shape[1:])
     keys, vals = getattr(_scratch, "out", (None, None))
-    if keys is None or keys.size < n or (vals.dtype, vals.shape[1:]) != row:
+    if keys is None or keys.size < n or vals.dtype != dtype:
         _scratch.out = keys = vals = None  # free the old pair first
-        keys, vals = np.empty(n, np.int64), np.empty((n, *row[1]), row[0])
+        keys, vals = np.empty(n, np.int64), np.empty(n, dtype)
         _scratch.out = keys, vals
     return keys[:n], vals[:n]
 
@@ -84,8 +86,10 @@ def partition_and_aggregate(
     ``d`` (levels of partitioning) defaults to the offline thresholds of
     ``tuning.choose_depth``. ``kind`` and ``kw`` (the accumulator's own
     arguments) go to ``hash_aggregate``, whose table raises ``IndexError``
-    for a key outside ``[0, n_groups)``.
+    for a key outside ``[0, n_groups)``. Keys and values must be 1-D and
+    of one length (else ``ValueError``, at any depth, before partitioning).
     """
+    keys, values = _kernels.pairs(keys, values)
     if d is None:
         d = choose_depth(n_groups, kind)
     # Simulator scaling: the paper runs F = 256**d over 2**30 rows
@@ -98,7 +102,6 @@ def partition_and_aggregate(
     F = min(FANOUT**d, 1 << 12)
     if F > 1:
         s = max(0, (n_groups - 1).bit_length() - (F.bit_length() - 1))
-        values = np.asarray(values)
-        out = _partition_out(len(keys), values)
+        out = _partition_out(keys.size, values.dtype)
         keys, values, _ = _kernels.partition(keys, values, F, s, out=out)
     return hash_aggregate(keys, values, n_groups, kind=kind, **kw)

@@ -1,8 +1,9 @@
 /* Compiled kernels of the buffered reproducible deposit, of its
  * renormalise-and-round finalize, of the value check before it, and of
  * the radix partition. `_kernels.py` builds this file on first use and
- * calls it through ctypes, with the number of threads each call runs on
- * and the number of morsels it cuts its work into (see run_morsels).
+ * calls it through ctypes, with the number of morsels each call cuts its
+ * work into and the number of threads, at most one per morsel, that take
+ * them (see run_morsels).
  *
  * Build flags matter for correctness: -ffp-contract=off and no
  * -ffast-math keep every floating-point operation below rounded once, in
@@ -96,9 +97,8 @@ static inline float extractor_f32(int64_t e)
     return f;
 }
 
-/* Threads per kernel call, at most; `_kernels.threads` caps at the same. */
-#define MAX_THREADS 64
-/* Morsels per kernel call, at most; `_kernels.morsels` caps at the same. */
+/* Morsels per kernel call, at most; `_kernels.morsels` caps at the same.
+ * A call runs on at most one thread per morsel. */
 #define MAX_MORSELS 64
 /* Stack of each worker thread: the morsels below need a few hundred bytes. */
 #define STACK_BYTES (1 << 18)
@@ -135,23 +135,23 @@ static void *work(void *arg)
 
 /*
  * Run fn on morsels 0..M-1 (M at most MAX_MORSELS): the calling thread
- * and T - 1 started threads (T at most MAX_THREADS and M) each take the
- * next morsel from a shared counter until none is left, so a thread
- * slowed by the host takes fewer. A thread that cannot be started leaves
- * its morsels to the others. Morsels write disjoint memory, and callers
- * combine their results in morsel order, so which thread runs which
- * morsel, and when, changes no result.
+ * and T - 1 started threads each take the next morsel from a shared
+ * counter until none is left, so a thread slowed by the host takes fewer.
+ * T is clamped to [1, M]: a thread beyond the morsels would find none,
+ * and the worker arrays hold one per morsel. A thread that cannot be
+ * started leaves its morsels to the others. Morsels write disjoint
+ * memory, and callers combine their results in morsel order, so which
+ * thread runs which morsel, and when, changes no result.
  */
 static void run_morsels(int64_t T, int64_t M, morsel_fn fn, void *tasks)
 {
     struct sched s = {fn, tasks, M, 0};
-    struct worker w[MAX_THREADS];
-    pthread_t tid[MAX_THREADS];
-    int started[MAX_THREADS];
+    struct worker w[MAX_MORSELS];
+    pthread_t tid[MAX_MORSELS];
+    int started[MAX_MORSELS];
     pthread_attr_t attr;
     int have_attr;
-    T = T < 1 ? 1 : T > MAX_THREADS ? MAX_THREADS : T;
-    T = T < M ? T : M;
+    T = T < 1 ? 1 : T > M ? M : T;
     have_attr = T > 1 && pthread_attr_init(&attr) == 0;
     if (have_attr)
         pthread_attr_setstacksize(&attr, STACK_BYTES); /* default if refused */
@@ -555,15 +555,15 @@ static inline void wc_flush(const char *line, char *start, char *end)
         memcpy(from, line + (from - ls), (size_t)(end - from));
 }
 
-/* A partition over M morsels of contiguous rows. Row i is keys[i] plus
- * `per` elements at vals + i * per * (element size). Morsel m's 2 * F
+/* A partition over M morsels of contiguous rows. Row i is keys[i] and
+ * the element at vals + i * (element size). Morsel m's 2 * F
  * counters lie at hist + 2 * F * m: first its histogram (then its write
  * cursors), then its run starts. Thread t's 2 * F line buffers lie at
  * lines + 2 * F * LINE * t: partition p's key line, then its value line. */
 struct part_task {
     const int64_t *keys;
     const char *vals;
-    int64_t n, M, per, shift;
+    int64_t n, M, shift;
     uint64_t mask;
     int64_t *hist;
     char *lines;
@@ -584,17 +584,16 @@ static void part_count(void *arg, int64_t m, int64_t thread)
 
 /* Put element x, bound for dst, in the stream's line buffer at
  * dst % LINE; write the line out once x completes it. The run dst belongs
- * to starts at element *first * per of base, read only then. The element
- * size divides LINE and dst is aligned to it, so x never straddles two
- * lines. */
+ * to starts at element *first of base, read only then. The element size
+ * divides LINE and dst is aligned to it, so x never straddles two lines. */
 #define DEFINE_PUT(NAME, U)                                                   \
     static inline void NAME(char *line, U *base, const int64_t *first,        \
-                            int64_t per, U *dst, U x)                         \
+                            U *dst, U x)                                      \
     {                                                                         \
         uintptr_t off = (uintptr_t)dst & (LINE - 1);                          \
         memcpy(line + off, &x, sizeof x);                                     \
         if (off == LINE - sizeof x)                                           \
-            emit_line(line, (char *)(base + *first * per), (char *)dst - off);\
+            emit_line(line, (char *)(base + *first), (char *)dst - off);      \
     }
 
 DEFINE_PUT(put_u8, uint8_t)
@@ -608,15 +607,13 @@ DEFINE_PUT(put_u64, uint64_t)
 #define SFENCE() ((void)0)
 #endif
 
-/* Scatter morsel m's rows to their write cursors, whole elements at a
- * time, through the thread's line buffers, then write out the last,
- * partial line of each of the morsel's runs. NAME##_rows is inlined
- * twice, so that one-element rows, the common case, loop over a
- * constant `per`. */
+/* Scatter morsel m's rows to their write cursors through the thread's
+ * line buffers, then write out the last, partial line of each of the
+ * morsel's runs. */
 #define DEFINE_SCATTER(NAME, U, PUT)                                          \
-    static inline __attribute__((always_inline)) void NAME##_rows(            \
-        struct part_task *a, int64_t m, int64_t thread, int64_t per)          \
+    static void NAME(void *arg, int64_t m, int64_t thread)                    \
     {                                                                         \
+        struct part_task *a = arg;                                            \
         const int64_t *keys = a->keys;                                        \
         const char *vals = a->vals;                                           \
         int64_t shift = a->shift, F = (int64_t)a->mask + 1;                   \
@@ -632,31 +629,19 @@ DEFINE_PUT(put_u64, uint64_t)
             int64_t p = (int64_t)((key >> shift) & mask);                     \
             int64_t d = cur[p]++;                                             \
             char *kl = lines + 2 * p * LINE;                                  \
-            const char *src = vals + i * per * (int64_t)sizeof(U);            \
-            put_u64(kl, okeys, start + p, 1, okeys + d, key);                 \
-            for (int64_t j = 0; j < per; j++) {                               \
-                U x;                                                          \
-                memcpy(&x, src + j * (int64_t)sizeof x, sizeof x);            \
-                PUT(kl + LINE, ovals, start + p, per, ovals + d * per + j, x);\
-            }                                                                 \
+            U x;                                                              \
+            put_u64(kl, okeys, start + p, okeys + d, key);                    \
+            memcpy(&x, vals + i * (int64_t)sizeof x, sizeof x);               \
+            PUT(kl + LINE, ovals, start + p, ovals + d, x);                   \
         }                                                                     \
         for (int64_t p = 0; p < F; p++) {                                     \
             char *kl = lines + 2 * p * LINE;                                  \
             wc_flush(kl, (char *)(okeys + start[p]),                          \
                      (char *)(okeys + cur[p]));                               \
-            wc_flush(kl + LINE, (char *)(ovals + start[p] * per),             \
-                     (char *)(ovals + cur[p] * per));                         \
+            wc_flush(kl + LINE, (char *)(ovals + start[p]),                   \
+                     (char *)(ovals + cur[p]));                               \
         }                                                                     \
         SFENCE(); /* the streaming stores, visible before the join */         \
-    }                                                                         \
-                                                                              \
-    static void NAME(void *arg, int64_t m, int64_t thread)                    \
-    {                                                                         \
-        struct part_task *a = arg;                                            \
-        if (a->per == 1)                                                      \
-            NAME##_rows(a, m, thread, 1);                                     \
-        else                                                                  \
-            NAME##_rows(a, m, thread, a->per);                                \
     }
 
 DEFINE_SCATTER(scatter_u8, uint8_t, put_u8)
@@ -668,9 +653,9 @@ DEFINE_SCATTER(scatter_u64, uint64_t, put_u64)
  * Stable counting sort of n rows on (key >> shift) & (F - 1), F a power
  * of two, on `threads` threads over M morsels of contiguous rows (the
  * per-thread-histogram partition of Polychroniou & Ross, SIGMOD 2014,
- * with a histogram per morsel). Row i is keys[i] plus `per` elements of
- * elem_bytes bytes (1, 2, 4 or 8) at vals + i * per * elem_bytes; rows go
- * to okeys/ovals, each aligned to its element size, grouped by partition,
+ * with a histogram per morsel). Row i is keys[i] and one element of
+ * elem_bytes bytes (1, 2, 4 or 8) at vals + i * elem_bytes; rows go to
+ * okeys/ovals, each aligned to its element size, grouped by partition,
  * in input order within one. bounds (F + 1 entries) receives the
  * partition starts and n. hist (M * 2 * F entries) and lines (threads *
  * 2 * F * LINE bytes, plus LINE spare bytes to align them) are scratch.
@@ -687,17 +672,17 @@ DEFINE_SCATTER(scatter_u64, uint64_t, put_u64)
  * too large, lands in some partition: range checks belong to the caller.
  */
 void repro_partition(int64_t n, const int64_t *keys, const char *vals,
-                     int64_t elem_bytes, int64_t per, int64_t F,
-                     int64_t shift, int64_t *okeys, char *ovals,
-                     int64_t *bounds, int64_t threads, int64_t morsels,
-                     int64_t *hist, char *lines)
+                     int64_t elem_bytes, int64_t F, int64_t shift,
+                     int64_t *okeys, char *ovals, int64_t *bounds,
+                     int64_t threads, int64_t morsels, int64_t *hist,
+                     char *lines)
 {
     int64_t M = clamp_morsels(morsels), pos = 0;
     morsel_fn scatter = elem_bytes == 1   ? scatter_u8
                         : elem_bytes == 2 ? scatter_u16
                         : elem_bytes == 4 ? scatter_u32
                                           : scatter_u64;
-    struct part_task a = {keys, vals, n, M, per, shift, (uint64_t)F - 1, hist,
+    struct part_task a = {keys, vals, n, M, shift, (uint64_t)F - 1, hist,
                           lines + (LINE - (uintptr_t)lines % LINE) % LINE,
                           okeys, ovals};
     run_morsels(threads, M, part_count, &a);

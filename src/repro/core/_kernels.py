@@ -11,16 +11,16 @@ requirement of every ``GroupedBinnedAcc`` deposit and finalize and of the
 radix partition; there is no fallback.
 
 Each kernel call cuts its rows (or slots) into ``morsels(rows)``
-contiguous morsels and runs on ``threads(rows)`` POSIX threads, each
-taking the next morsel until none is left; both counts are worked out
-from the call's own input and change no result bit.
+contiguous morsels and runs on ``threads(rows)`` POSIX threads, one per
+usable CPU and at most one per morsel, each taking the next morsel until
+none is left; both counts are worked out from the call's own input and
+change no result bit.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
 import hashlib
-import math
 import os
 from pathlib import Path
 
@@ -34,13 +34,8 @@ _CACHE = Path(__file__).with_name("__pycache__")
 # no -ffast-math or -march=native: the deposit must round as written
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread", "-ffp-contract=off")
 
-#: rows (or slots) per kernel thread, at least, so that starting a thread
-#: stays a small share of the thread's work
-_ROWS_PER_THREAD = 1 << 16
-#: threads per kernel call, at most (MAX_THREADS in _kernels.c)
-_MAX_THREADS = 64
-#: rows (or slots) per morsel, at least; at most _ROWS_PER_THREAD, so a
-#: call has at least as many morsels as threads
+#: rows (or slots) per morsel, at least, so that starting the thread that
+#: takes it stays a small share of the morsel's work
 _ROWS_PER_MORSEL = 1 << 16
 #: morsels per kernel call, at most (MAX_MORSELS in _kernels.c)
 _MAX_MORSELS = 64
@@ -78,7 +73,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
             ("first_outside", [i64, ptr, i64, i64, i64], i64)):
         for f in (getattr(lib, f"repro_{name}_f64"), getattr(lib, f"repro_{name}_f32")):
             f.argtypes, f.restype = args, res
-    lib.repro_partition.argtypes = [i64, ptr, ptr, i64, i64, i64, i64, ptr, ptr, ptr,
+    lib.repro_partition.argtypes = [i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr,
                                     i64, i64, ptr, ptr]
     lib.repro_partition.restype = None
     return lib
@@ -88,21 +83,18 @@ def threads(rows: int) -> int:
     """Threads a kernel call over ``rows`` rows (or slots) runs on.
 
     One per CPU this process may run on (its affinity, read on every
-    call), at most one per ``_ROWS_PER_THREAD`` rows and at most
-    ``_MAX_THREADS``, at least one. Each takes the next of the call's
-    :func:`morsels` until none is left.
+    call) and at most one per :func:`morsels` of the call, each taking
+    the next morsel until none is left.
     """
-    return max(1, min(len(os.sched_getaffinity(0)), rows // _ROWS_PER_THREAD,
-                      _MAX_THREADS))
+    return min(len(os.sched_getaffinity(0)), morsels(rows))
 
 
 def morsels(rows: int) -> int:
     """Morsels a kernel call over ``rows`` rows (or slots) cuts them into.
 
     One per ``_ROWS_PER_MORSEL`` rows, at most ``_MAX_MORSELS``, at least
-    one: so at least :func:`threads` for any input. Threads take the next
-    morsel until none is left, so a thread the host slows takes fewer and
-    does not hold up the call.
+    one. Threads take the next morsel until none is left, so a thread the
+    host slows takes fewer and does not hold up the call.
     """
     return max(1, min(rows // _ROWS_PER_MORSEL, _MAX_MORSELS))
 
@@ -142,6 +134,15 @@ def integer_keys(keys) -> np.ndarray:
     if keys.size and keys.dtype.kind not in "iu":
         raise TypeError(f"keys must be integer slot ids, not {keys.dtype}")
     return keys
+
+
+def pairs(keys, values) -> tuple[np.ndarray, np.ndarray]:
+    """``keys`` and ``values`` as arrays; ``ValueError`` unless both are
+    1-D and of one length."""
+    keys, values = np.asarray(keys), np.asarray(values)
+    if keys.ndim != 1 or values.shape != keys.shape:
+        raise ValueError("keys and values must be 1-D and of one length")
+    return keys, values
 
 
 def overflow_error() -> OverflowError:
@@ -236,7 +237,7 @@ def check_values(fmt: FloatFormat, L: int, v: np.ndarray) -> None:
 
 def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
               *, out: tuple[np.ndarray, np.ndarray] | None = None):
-    """Stable counting sort of ``(keys, values)`` rows on ``(key >> shift) & (F-1)``.
+    """Stable counting sort of ``(key, value)`` rows on ``(key >> shift) & (F-1)``.
 
     Runs over up to ``morsels(len(keys))`` morsels of rows on
     ``threads(len(keys))`` threads; the output is the same for any thread
@@ -246,26 +247,26 @@ def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
     ``slice(bounds[p], bounds[p + 1])``. Any int64 key routes to a
     partition in ``[0, F)``, so keys are only checked to be integers
     (else ``TypeError``); uint64 keys are routed on their bits and
-    returned as uint64, the others as int64. The values' elements must be
-    of 1, 2, 4 or 8 bytes (else ``ValueError``); a row may hold several.
+    returned as uint64, the others as int64. Keys and values must be 1-D
+    and of one length, and the values' elements of 1, 2, 4 or 8 bytes
+    (else ``ValueError``): a row is one key and one value.
 
     ``out=(keys_out, values_out)`` receives the rows instead of two new
-    arrays, which are then returned: C-contiguous, of the shape and dtype
-    of the (int64) keys and of the values, aligned to their element size,
-    sharing no memory with the input or with each other (else
-    ``ValueError``). The kernel writes the output a cache line at a time
+    arrays, which are then returned: 1-D, C-contiguous, of the input's
+    length and of the dtype of the (int64) keys and of the values, aligned
+    to their element size, sharing no memory with the input or with each
+    other (else ``ValueError``). The kernel writes the output a cache line at a time
     with streaming stores, so memory that is already mapped, such as a
     reused ``out``, takes it fastest.
     """
     if F < 1 or F & (F - 1):
         raise ValueError("fan-out must be a power of two")
-    given = integer_keys(keys)
+    given, values = pairs(keys, values)
+    given = integer_keys(given)
     # uint64 keys are routed on their bits and come back as uint64
     keys = np.ascontiguousarray(
         given.view(np.int64) if given.dtype == np.uint64 else given, np.int64)
     values = np.ascontiguousarray(values)
-    if keys.ndim != 1 or values.ndim == 0 or values.shape[0] != keys.size:
-        raise ValueError("keys must be 1-D and values must have one row per key")
     if values.dtype.hasobject:
         raise TypeError("values must be a numeric array, not object dtype")
     # whole elements are written: each element size divides the line
@@ -283,17 +284,14 @@ def partition(keys: np.ndarray, values: np.ndarray, F: int, shift: int = 0,
                 (out_v, keys), (out_v, values))):
             raise ValueError("out must share no memory with the input or itself")
     bounds = np.empty(F + 1, np.int64)
-    # elements per row from the shape, not values.strides[0]: NumPy gives a
-    # one-row array any row stride
-    per_row = math.prod(values.shape[1:])
     T = threads(keys.size)
     M = min(morsels(keys.size), max(T, _PART_COUNTERS // F))
     hist = np.empty((M, 2, F), np.int64)
     lines = np.empty(T * 2 * F * _LINE + _LINE, np.uint8)  # + _LINE to align
     _lib().repro_partition(
-        keys.size, keys.ctypes.data, values.ctypes.data, values.itemsize,
-        per_row, F, shift, out_k.ctypes.data, out_v.ctypes.data,
-        bounds.ctypes.data, T, M, hist.ctypes.data, lines.ctypes.data)
+        keys.size, keys.ctypes.data, values.ctypes.data, values.itemsize, F,
+        shift, out_k.ctypes.data, out_v.ctypes.data, bounds.ctypes.data, T, M,
+        hist.ctypes.data, lines.ctypes.data)
     return (out_k.view(np.uint64) if given.dtype == np.uint64 else out_k), out_v, bounds
 
 

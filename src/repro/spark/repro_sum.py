@@ -36,31 +36,6 @@ def _as_list(x) -> list[str]:
     return [x] if isinstance(x, str) else list(x)
 
 
-def _key_codes(pdf: pd.DataFrame, keycols: list[str], index: dict,
-               rows: list) -> np.ndarray:
-    """Dense per-partition group code of every row of one Arrow batch.
-
-    ``index`` maps key tuples to codes and ``rows`` lists the key tuples
-    in code order; both persist across the batches of a partition and
-    grow with every key not seen before.
-    """
-    codes_local = pdf.groupby(keycols, sort=False, dropna=False).ngroup().to_numpy()
-    first = np.unique(codes_local, return_index=True)[1]
-    ktups = [
-        tuple(r)
-        for r in pdf.iloc[first][keycols].itertuples(index=False, name=None)
-    ]
-    gcodes = np.empty(len(ktups), np.int64)
-    for i, t in enumerate(ktups):
-        code = index.get(t)
-        if code is None:
-            code = len(index)
-            index[t] = code
-            rows.append(t)
-        gcodes[i] = code
-    return gcodes[codes_local]
-
-
 def _q(name: str) -> str:
     """``name`` as a quoted SQL identifier."""
     return "`" + name.replace("`", "``") + "`"
@@ -69,16 +44,19 @@ def _q(name: str) -> str:
 def repro_sum(col, *, L: int = 2, dtype="float64") -> Column:
     """Reproducible SUM of one column, as an aggregate Column.
 
-    Usage: ``df.groupBy("k").agg(repro_sum("v", L=2).alias("s"))``. The
-    column is cast to double (then rounded to float for
-    ``dtype="float32"``) and summed by ``ReproSum.java`` in Spark's own
-    ``HashAggregate``, with partial aggregation before the shuffle. As
+    Usage: ``df.groupBy("k").agg(repro_sum("v", L=2).alias("s"))``.
+    ``dtype`` is any NumPy spelling of float64 or float32, or Spark's
+    ``"float"`` (float32); any other raises ``TypeError``. The column is
+    cast to double (then rounded to float for float32) and summed by
+    ``ReproSum.java`` in Spark's own ``HashAggregate``, with partial
+    aggregation before the shuffle. As
     SQL SUM, NULLs are ignored and an all-NULL group sums to NULL. NaN,
     ±Inf and a group whose sum leaves the supported range raise, naming
     the column. The result has the format's type (``double`` or
     ``float``).
     """
-    fmt = fmt_for(np.float32 if str(dtype) in ("float32", "float") else np.float64)
+    # NumPy reads "float" as float64; Spark's "float" is float32
+    fmt = fmt_for(np.float32 if isinstance(dtype, str) and dtype == "float" else dtype)
     fmt.check_L(L)
     name = col if isinstance(col, str) else col._jc.toString()
     arg = F.col(_q(col)) if isinstance(col, str) else col
@@ -109,8 +87,9 @@ def rsum_groupby(df: DataFrame, keys, values, *, L: int = 2,
 def pandas_sum_groupby(df: DataFrame, keys, values) -> DataFrame:
     """Plain (non-reproducible) double SUM through a pandas operator.
 
-    The mapInPandas partial → shuffle → final-merge pipeline with
-    ordinary float64 accumulation: the cost of the Python/JVM boundary
+    The mapInPandas partial (pandas' float64 ``groupby().sum()`` per
+    Arrow batch, then over the batches) → shuffle → final-merge
+    pipeline: the cost of the Python/JVM boundary
     that :func:`rsum_groupby` no longer pays, for perfbench's layer
     numbers and Table IV's pandas-pipeline row. Columns are named
     ``<v>_rsum`` to be drop-in comparable.
@@ -123,27 +102,13 @@ def pandas_sum_groupby(df: DataFrame, keys, values) -> DataFrame:
     )
 
     def partial(batches):
-        # built-in-operator cost profile: one scatter-add per element per
-        # column into a dense table (the paper's float baseline)
-        index: dict[tuple, int] = {}
-        rows: list[tuple] = []
-        table = np.zeros((0, len(valcols)))
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            slots = _key_codes(pdf, keycols, index, rows)
-            if len(index) > table.shape[0]:
-                table = np.vstack(
-                    [table, np.zeros((len(index) - table.shape[0], len(valcols)))]
-                )
-            vals = pdf[valcols].to_numpy(np.float64, na_value=0.0)
-            for jcol in range(len(valcols)):
-                np.add.at(table[:, jcol], slots, vals[:, jcol])
-        if rows:
-            out = {kc: [r[i] for r in rows] for i, kc in enumerate(keycols)}
-            for jcol, vc in enumerate(valcols):
-                out[f"{vc}_rsum"] = table[: len(rows), jcol]
-            yield pd.DataFrame(out)
+        # one partial sum per group and batch, then one per group; NULL
+        # values add 0 and NULL keys form one group
+        sums = [pdf.groupby(keycols, sort=False, dropna=False)[valcols].sum()
+                for pdf in batches if len(pdf)]
+        if sums:
+            out = pd.concat(sums).groupby(level=keycols, sort=False, dropna=False).sum()
+            yield out.rename(columns=lambda v: f"{v}_rsum").reset_index()
 
     partials = df.select(*keycols, *valcols).mapInPandas(partial, schema)
     return partials.groupBy(*keycols).agg(

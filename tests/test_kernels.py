@@ -293,16 +293,15 @@ _MORSELS = _kernels.morsels
 
 
 def _force_threads(mp: pytest.MonkeyPatch, T: int, M: int | None = None) -> None:
-    """Run every kernel call over at least T rows (or slots) on T threads:
-    T CPUs in the affinity, one row per thread. Cut every call into M
-    morsels, or, if M is None, into one morsel per row, up to the most a
-    call takes. At most 4 threads start."""
+    """Run every kernel call on T CPUs in the affinity. Cut every call
+    into M morsels, or, if M is None, into one morsel per row (or slot),
+    up to the most a call takes; a call runs on one thread per CPU, at
+    most one per morsel. At most 4 threads start."""
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(T)))
-    mp.setattr(_kernels, "_ROWS_PER_THREAD", 1)
     mp.setattr(_kernels, "_ROWS_PER_MORSEL", 1)
     mp.setattr(_kernels, "morsels", _MORSELS if M is None else lambda rows: M)
-    assert _kernels.threads(1000) == T
     assert _kernels.morsels(1000) == (M or _kernels._MAX_MORSELS)
+    assert _kernels.threads(1000) == min(T, _kernels.morsels(1000))
 
 
 def _morsel_counts(T: int) -> tuple[int, ...]:
@@ -321,17 +320,23 @@ def _argsort_partition(keys, vals, F, shift):
     return keys[order], vals[order]
 
 
+def _values(rng, n: int) -> list[np.ndarray]:
+    """One value column of each element size: 1, 2, 4 and 8 bytes."""
+    return [rng.integers(-100, 100, n).astype(np.int8),
+            rng.integers(-1000, 1000, n).astype(np.int16),
+            rng.standard_normal(n).astype(np.float32), rng.standard_normal(n)]
+
+
 @pytest.mark.parametrize("T", [2, 3, 4])
 def test_partition_on_threads_matches_one_thread(T, monkeypatch):
     """Byte for byte the output of one thread, which is the stable
-    counting sort, for any n, F, shift and row width."""
+    counting sort, for any n, F, shift and element size."""
     rng = np.random.default_rng(T)
     for i in range(40):
         n = int(rng.integers(0, 3000))
         F, shift = 1 << int(rng.integers(0, 9)), int(rng.integers(0, 12))
         keys = rng.integers(-50, 1 << 14, n)  # negative keys route too
-        vals = [rng.standard_normal(n), rng.standard_normal(n).astype(np.float32),
-                rng.standard_normal((n, 3))][i % 3]
+        vals = _values(rng, n)[i % 4]
         _force_threads(monkeypatch, 1)
         want = _kernels.partition(keys, vals, F, shift)
         _force_threads(monkeypatch, T)
@@ -348,7 +353,7 @@ def test_partition_with_fewer_rows_than_threads():
         out_k, out_v = np.empty_like(keys), np.empty_like(vals)
         bounds, hist = np.empty(5, np.int64), np.empty((8, 2, 4), np.int64)
         lines = np.empty(4 * 2 * 4 * 64 + 64, np.uint8)
-        lib.repro_partition(n, keys.ctypes.data, vals.ctypes.data, 8, 1, 4, 0,
+        lib.repro_partition(n, keys.ctypes.data, vals.ctypes.data, 8, 4, 0,
                             out_k.ctypes.data, out_v.ctypes.data,
                             bounds.ctypes.data, 4, 8, hist.ctypes.data,
                             lines.ctypes.data)
@@ -365,15 +370,14 @@ def _at_offset(buf: np.ndarray, off: int, like: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("T", [1, 2, 3, 4])
 def test_scatter_matches_stable_argsort(T, monkeypatch):
     """The write-combined scatter against a stable argsort on the partition
-    id, byte for byte, for each morsel count of ``_morsel_counts``: 2-, 4-,
-    8-, 12- and 24-byte rows (rows of several elements span lines), output
-    lines shared between morsels and partitions, runs shorter than a line
-    (keys dealt round-robin: each partition gets n / F rows), all rows in
-    one partition and fewer rows than morsels, written into ``out`` arrays
-    at every 8-byte offset from a line, the keys and values at different
-    offsets."""
+    id, byte for byte, for each morsel count of ``_morsel_counts``: 1-, 2-,
+    4- and 8-byte values, output lines shared between morsels and
+    partitions, runs shorter than a line (keys dealt round-robin: each
+    partition gets n / F rows), all rows in one partition and fewer rows
+    than morsels, written into ``out`` arrays at every 8-byte offset from
+    a line, the keys and values at different offsets."""
     rng = np.random.default_rng(T)
-    buf_k, buf_v = np.empty(8 * 70_000 + 128, np.uint8), np.empty(24 * 70_000 + 128, np.uint8)
+    buf_k, buf_v = np.empty(8 * 70_000 + 128, np.uint8), np.empty(8 * 70_000 + 128, np.uint8)
     case = 0
     for n, M in itertools.product((0, 1, 7, 8, 9, 63, 64, 65, (1 << 16) + 3),
                                   _morsel_counts(T)):
@@ -383,11 +387,7 @@ def test_scatter_matches_stable_argsort(T, monkeypatch):
             for keys in (rng.integers(-(1 << 20), 1 << 20, n),  # negative keys route too
                          np.arange(n, dtype=np.int64) << shift,
                          np.full(n, 5 << shift, np.int64)):
-                for vals in (rng.integers(-1000, 1000, n).astype(np.int16),
-                             rng.standard_normal(n).astype(np.float32),
-                             rng.standard_normal(n),
-                             rng.standard_normal((n, 3)).astype(np.float32),
-                             rng.standard_normal((n, 3))):
+                for vals in _values(rng, n):
                     ok = 8 * (case % 8)
                     ov = (ok + 8 * (1 + case // 8 % 7)) % 64
                     case += 1
@@ -403,15 +403,14 @@ def test_scatter_matches_stable_argsort(T, monkeypatch):
 @pytest.mark.parametrize("ok", range(0, 64, 8))
 def test_scatter_at_every_line_offset(ok, monkeypatch):
     """Every pair of distinct 8-byte offsets of the key and value outputs
-    from a cache line, on 4 threads, fresh output too; rows of 8, 12 and
-    80 bytes (one row's elements span up to three lines)."""
+    from a cache line, on 4 threads, fresh output too; values of 1, 2, 4
+    and 8 bytes."""
     _force_threads(monkeypatch, 4)
     rng = np.random.default_rng(ok)
     n = 5000
     keys = rng.integers(0, 1 << 12, n)
-    buf_k, buf_v = np.empty(8 * n + 128, np.uint8), np.empty(80 * n + 128, np.uint8)
-    for vals in (rng.standard_normal(n), rng.standard_normal((n, 3)).astype(np.float32),
-                 rng.standard_normal((n, 10))):
+    buf_k, buf_v = np.empty(8 * n + 128, np.uint8), np.empty(8 * n + 128, np.uint8)
+    for vals in _values(rng, n):
         want = _argsort_partition(keys, vals, 64, 6)
         assert _same_bytes(_kernels.partition(keys, vals, 64, 6)[:2], want)
         for ov in range(0, 64, 8):
@@ -422,10 +421,11 @@ def test_scatter_at_every_line_offset(ok, monkeypatch):
 
 _K, _V = np.zeros(10, np.int64), np.zeros(10)
 _W = np.zeros(20, np.int64)
-#: (values, out) that partition must reject, for the keys np.arange(10)
+#: (values, out) that partition must reject, for the keys np.arange(10);
+#: 2-D values are rejected whatever ``out`` is
 _BAD_OUT = {
     "short keys": lambda k, v: (v, (_K[:9], _V)),
-    "2-D values": lambda k, v: (v, (_K, np.empty((10, 1)))),
+    "2-D values": lambda k, v: (v.reshape(10, 1), (_K, np.empty((10, 1)))),
     "int32 keys": lambda k, v: (v, (_K.astype(np.int32), _V)),
     "float32 values": lambda k, v: (v, (_K, _V.astype(np.float32))),
     "strided keys": lambda k, v: (v, (_W[::2], _V)),
@@ -443,13 +443,14 @@ _BAD_OUT = {
 
 @pytest.mark.parametrize("case", list(_BAD_OUT))
 def test_partition_out_is_checked(case):
-    """A wrong shape, dtype or layout of ``out``, or ``out`` that may share
-    memory with the input or with itself, raises before any write."""
+    """A wrong shape, dtype or layout of ``out``, ``out`` that may share
+    memory with the input or with itself, or 2-D values, raise before any
+    write."""
     keys, vals = np.arange(10, dtype=np.int64), np.arange(10.0)
     vals, out = _BAD_OUT[case](keys, vals)
     keys = keys[:vals.shape[0]]
     before = keys.copy(), vals.copy()
-    with pytest.raises(ValueError, match="out"):
+    with pytest.raises(ValueError, match="out" if vals.ndim == 1 else "must be 1-D"):
         _kernels.partition(keys, vals, 4, out=out)
     assert _same_bytes((keys, vals), before)
 
@@ -460,13 +461,13 @@ def test_partition_takes_whole_aligned_elements():
     the requirement before anything is written."""
     keys = np.arange(10, dtype=np.int64)
     for vals in (np.zeros(10, np.complex128), np.zeros(10, "V3"),
-                 np.zeros((10, 2), "S3"), np.zeros(10, "V16")):
+                 np.zeros(10, "S3"), np.zeros(10, "V16")):
         with pytest.raises(ValueError, match="elements of 1, 2, 4 or 8 bytes"):
             _kernels.partition(keys, vals, 4)
     buf_k, buf_v = np.zeros(8 * 10 + 64, np.uint8), np.zeros(8 * 10 + 64, np.uint8)
     for vals, ok, ov in ((np.ones(10), 4, 0), (np.ones(10), 0, 4),
                          (np.ones(10, np.float32), 0, 2), (np.ones(10, np.int16), 0, 1),
-                         (np.ones((10, 3), np.float32), 0, 6)):
+                         (np.ones(10, np.float32), 0, 6)):
         out_k = buf_k[8 + ok:8 + ok + 80].view(np.int64)
         out_v = buf_v[8 + ov:8 + ov + vals.nbytes].view(vals.dtype).reshape(vals.shape)
         with pytest.raises(ValueError, match="aligned to its"):
@@ -476,9 +477,13 @@ def test_partition_takes_whole_aligned_elements():
 
 def test_partition_of_one_row_with_a_wide_stride():
     """A one-row view of a strided array is contiguous with any row stride;
-    the kernel copies the row's own bytes, not the stride's."""
-    base = np.arange(30.0).reshape(10, 3)
-    for vals in (base[::5, 0][1:], base[::5][1:]):
+    the kernel copies the row's own element, not the stride's bytes, for
+    each element size. A one-row 2-D view is rejected."""
+    for dtype in (np.int8, np.int16, np.float32, np.float64):
+        base = np.arange(30).astype(dtype).reshape(10, 3)
+        with pytest.raises(ValueError, match="must be 1-D"):
+            _kernels.partition(np.array([7]), base[::5][1:], 4)
+        vals = base[::5, 0][1:]
         keys = np.array([7])
         buf = np.full(vals.nbytes + 64, 0xAB, np.uint8)
         out = (np.empty(1, np.int64), buf[:vals.nbytes].view(vals.dtype).reshape(vals.shape))
@@ -733,7 +738,7 @@ lib = _kernels._declare(ctypes.CDLL(str(so)))
 keys = np.arange(10, dtype=np.int64)
 out, vals, bounds = np.empty(10, np.int64), np.empty(10), np.empty(3, np.int64)
 hist, lines = np.empty(4, np.int64), np.empty(4 * 64 + 64, np.uint8)
-lib.repro_partition(10, keys.ctypes.data, keys.ctypes.data, 8, 1, 2, 0,
+lib.repro_partition(10, keys.ctypes.data, keys.ctypes.data, 8, 2, 0,
                     out.ctypes.data, vals.ctypes.data, bounds.ctypes.data,
                     1, 1, hist.ctypes.data, lines.ctypes.data)
 assert bounds.tolist() == [0, 5, 10], bounds
@@ -774,6 +779,16 @@ def test_changed_source_gives_new_artifact(tmp_path, monkeypatch):
     new = _kernels._artifact(tmp_path / "cache")
     assert new != old and new.exists() and old.exists()
     ctypes.CDLL(str(new)).repro_partition  # a complete library
+
+
+def test_kernels_compile_without_warnings(tmp_path):
+    """The build flags plus ``-Wall -Wextra -Werror``: no warning."""
+    so = tmp_path / "_kernels.so"
+    out = subprocess.run(["cc", *_kernels._CFLAGS, "-Wall", "-Wextra", "-Werror",
+                          "-o", str(so), str(_kernels._SRC)],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert so.exists()
 
 
 def test_missing_compiler_names_the_command(tmp_path, monkeypatch):

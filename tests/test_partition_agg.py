@@ -42,17 +42,19 @@ class TestParallelPartition:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
     def test_equals_stable_argsort(self, F, dtype):
         """The counting sort gives exactly what a stable argsort on the
-        partition id gives, for any value width, row shape and key sign."""
+        partition id gives, for any value width and key sign; a row is one
+        key and one value, so 2-D values raise."""
         rng = np.random.default_rng(F)
         keys = rng.integers(-(1 << 40), 1 << 40, 20_000)
-        for vals in (rng.standard_normal(20_000).astype(dtype),
-                     rng.standard_normal((20_000, 3)).astype(dtype)):
-            order = np.argsort(keys & (F - 1), kind="stable")
-            counts = np.bincount(keys & (F - 1), minlength=F)
-            pk, pv, bounds = parallel_partition(keys, vals, F)
-            assert np.array_equal(pk, keys[order])
-            assert np.array_equal(pv, vals[order]) and pv.dtype == vals.dtype
-            assert np.array_equal(bounds, np.concatenate([[0], np.cumsum(counts)]))
+        vals = rng.standard_normal(20_000).astype(dtype)
+        order = np.argsort(keys & (F - 1), kind="stable")
+        counts = np.bincount(keys & (F - 1), minlength=F)
+        pk, pv, bounds = parallel_partition(keys, vals, F)
+        assert np.array_equal(pk, keys[order])
+        assert np.array_equal(pv, vals[order]) and pv.dtype == vals.dtype
+        assert np.array_equal(bounds, np.concatenate([[0], np.cumsum(counts)]))
+        with pytest.raises(ValueError, match="must be 1-D"):
+            parallel_partition(keys, np.stack([vals] * 3, axis=1), F)
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])
@@ -164,6 +166,32 @@ def test_float_keys_raise(kind, kw, d):
     with pytest.raises(TypeError, match="keys must be integer slot ids"):
         partition_and_aggregate(np.array([0.9, 1.7, 1.2]), np.array([1.0, 2.0, 3.0]),
                                 1 << 17, kind=kind, d=d, **kw)
+
+
+_SHAPES = {
+    "short values": lambda k, v: (k, v[:-1]),
+    "short keys": lambda k, v: (k[:-1], v),
+    "2-D values": lambda k, v: (k, np.stack([v, v], axis=1)),
+    "2-D keys and values": lambda k, v: (k.reshape(-1, 2), v.reshape(-1, 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(_SHAPES))
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("kind,kw", [("builtin", {}), ("repro_buffered", {"L": 2})])
+def test_input_shapes_are_checked_before_partitioning(kind, kw, d, case, monkeypatch):
+    """Keys and values that are not 1-D and of one length raise one
+    ``ValueError`` at every depth, before any row is partitioned."""
+    keys, vals = np_groupby_input(1000, 100, seed=2)
+    keys, vals = _SHAPES[case](keys, vals)
+
+    def no_partition(*a, **k):
+        raise AssertionError("partitioned")
+
+    monkeypatch.setattr(_kernels, "partition", no_partition)
+    with pytest.raises(ValueError, match=re.escape("keys and values must be 1-D "
+                                                   "and of one length")):
+        partition_and_aggregate(keys, vals, 100, kind=kind, d=d, **kw)
 
 
 def test_high_digit_routing_owns_contiguous_slices():

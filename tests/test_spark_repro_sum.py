@@ -1,14 +1,29 @@
 """The Spark reproducible GROUPBY: bit-stability, oracle equivalence, and
 ``repro_sum`` as an aggregate Column."""
+import contextlib
+
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core import GroupedBinnedAcc
 from repro.oracle import assert_equivalent
-from repro.spark import repro_sum, rsum_groupby
+from repro.spark import pandas_sum_groupby, repro_sum, rsum_groupby
 from repro.synth_data import groupby_pairs, np_groupby_input
+
+
+@contextlib.contextmanager
+def _arrow_batch_rows(spark, n: int):
+    """Arrow batches of at most ``n`` rows inside the block."""
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    old = spark.conf.get(key)
+    spark.conf.set(key, str(n))
+    try:
+        yield
+    finally:
+        spark.conf.set(key, old)
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -137,6 +152,33 @@ class TestSemantics:
         out = rsum_groupby(df, "k", "v", L=2, dtype="float32")
         assert dict(out.dtypes)["v_rsum"] == "float"
         assert out.count() == 4
+
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_pandas_sum_nulls(self, spark, parts):
+        """The pandas pipeline's double SUM over several Arrow batches per
+        partition: NULL values add 0, NULL keys form one group, and a group
+        gets one row."""
+        rows = [("a", 1, 1.0, None), ("a", 1, 2.0, 1.0), (None, 1, None, 4.0),
+                (None, 1, 8.0, None), ("b", None, 16.0, 2.0), ("a", 2, 32.0, 8.0)] * 3
+        df = spark.createDataFrame(spark.sparkContext.parallelize(rows, parts),
+                                   "k1 string, k2 long, x double, y double")
+        with _arrow_batch_rows(spark, 4):
+            got = pandas_sum_groupby(df, ["k1", "k2"], ["x", "y"]).collect()
+        assert sorted((r.k1 or "", r.k2 or 0, r.x_rsum, r.y_rsum) for r in got) == [
+            ("", 1, 24.0, 12.0), ("a", 1, 9.0, 3.0), ("a", 2, 96.0, 24.0),
+            ("b", 0, 48.0, 6.0)]
+
+    def test_dtype_spellings(self, spark):
+        """Every NumPy spelling of float32, and Spark's "float", sums in
+        float32 as "float32" does; a dtype of no float format raises."""
+        df = spark.createDataFrame(pd.DataFrame({"k": [0, 0, 1], "v": [0.1, 0.2, 3.0]}))
+        want = rsum_groupby(df, "k", "v", dtype="float32").orderBy("k").collect()
+        for dtype in (np.float32, "f4", np.dtype("float32"), "float"):
+            out = rsum_groupby(df, "k", "v", dtype=dtype)
+            assert isinstance(out.schema["v_rsum"].dataType, T.FloatType), dtype
+            assert out.orderBy("k").collect() == want, dtype
+        with pytest.raises(TypeError, match="unsupported dtype int64"):
+            rsum_groupby(df, "k", "v", dtype="int64")
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_nulls_ignored_like_sql_sum(self, spark, dtype):
