@@ -2,9 +2,9 @@
 
 These mirror the data types compared in the paper's evaluation
 (Section VI): built-in IEEE floats, fixed-point ``DECIMAL(p)`` types
-implemented on integers (p = 9, 19, 38 as 32-, 64- and two-limb 64-bit
-integers — the paper uses ``__int128`` for p = 38), and the reproducible
-``repro<ScalarT,L>`` types with and without summation buffers.
+on two int64 limbs for every p (the paper's 32-, 64- and 128-bit
+integers), and the reproducible ``repro<ScalarT,L>`` types with and
+without summation buffers.
 
 Every backend exposes the same dense-table interface used by
 HASHAGGREGATION / PARTITIONANDAGGREGATE:
@@ -13,12 +13,13 @@ HASHAGGREGATION / PARTITIONANDAGGREGATE:
 * ``update(idx, vals)`` — scatter a batch of values into table rows,
   whose keys ``core.binned.slot_ids`` checks first; DECIMAL and repro
   raise ``ValueError`` for values they cannot hold before any change;
-* ``merge_from(other, base, stride=1)`` — add a private table into a
-  shared one, other's row ``i`` into row ``base + i * stride`` (the
-  transfer phase of the paper's Algorithm 4, which
-  ``partition_and_aggregate`` does not need; only perfbench calls it).
-  The repro kinds add exported states with ``merge_state_rows``;
-* ``finalize()`` — per-row sums as float64 for comparison;
+* ``merge_from(other, base, stride=1)`` — builtin and repro kinds only:
+  add a private table into a shared one, other's row ``i`` into row
+  ``base + i * stride`` (the transfer phase of the paper's Algorithm 4,
+  which ``partition_and_aggregate`` does not need; only perfbench calls
+  it). The repro kinds add exported states with ``merge_state_rows``;
+* ``finalize()`` — per-row sums as float64 for comparison; DECIMAL
+  raises ``OverflowError`` for a sum past its range;
 * ``result_bits()`` — a canonical byte-level representation used by the
   reproducibility tests (bit-pattern equality, not approximate).
 """
@@ -76,13 +77,17 @@ class DecimalAcc:
     ``p`` decimal digits total, ``frac`` of them fractional; values are
     scaled by ``10**frac`` and rounded to integers on entry (this is the
     *assumption* of fixed-point arithmetic: inputs are exact multiples
-    of the smallest unit). Storage: int32 for p<=9, int64 for p<=19,
-    and a two-limb (low 31 bits / high) int64 pair for p=38 standing in
-    for ``__int128``. Integer addition is associative, so these are
-    reproducible by construction — but they cannot represent data whose
-    scale is unknown or whose magnitudes vary widely. NaN, ±Inf and values
-    that scale past DECIMAL(p) or int64 raise; sums that leave the table's
-    integers over many rows are not detected.
+    of the smallest unit). Every p keeps each group's sum in two int64
+    limbs standing in for the paper's ``__int128``: ``lo`` holds the low
+    31 bits and ``hi`` the rest, carries folded after each ``update``.
+    Integer addition is associative, so this is reproducible by
+    construction — but it cannot represent data whose scale is unknown
+    or whose magnitudes vary widely. NaN, ±Inf and values that scale
+    past DECIMAL(p) or int64 raise ``ValueError``, and an ``update`` that
+    could carry a group past the limbs' headroom (about 2**93 units)
+    ``OverflowError``, before the table changes; ``exact_ints`` and
+    ``finalize`` raise ``OverflowError`` for a final sum past ``10**p - 1``
+    units, whatever the order or split of the input.
     """
 
     kind, batch = "decimal", BATCH
@@ -90,62 +95,50 @@ class DecimalAcc:
     def __init__(self, n_groups: int, p: int = 19, frac: int = 2):
         self.p, self.frac = p, frac
         self.scale = 10**frac
-        if p <= 9:
-            self.table = np.zeros(n_groups, np.int32)
-            self._two_limb = False
-        elif p <= 19:
-            self.table = np.zeros(n_groups, np.int64)
-            self._two_limb = False
-        else:  # p = 38: two-limb emulation of __int128
-            self.lo = np.zeros(n_groups, np.int64)
-            self.hi = np.zeros(n_groups, np.int64)
-            self._two_limb = True
-        # one past the units a value may scale to: DECIMAL(p)'s 10**p - 1
-        # (p <= 9's int32 holds it), the int64 cast's 2**63 - 1; exact floats
+        self.lo = np.zeros(n_groups, np.int64)
+        self.hi = np.zeros(n_groups, np.int64)
+        # one past the units a value may scale to: DECIMAL(p)'s 10**p - 1,
+        # the int64 cast's 2**63 - 1; exact floats
         self._units = float(min(10**p, 2**63))
 
     def update(self, idx: np.ndarray, vals: np.ndarray) -> None:
-        idx = slot_ids(idx, (self.lo if self._two_limb else self.table).size)
+        idx = slot_ids(idx, self.lo.size)
         v = np.asarray(vals, np.float64)
         x = np.rint(v * self.scale)
         i = _kernels.first_outside(x, self._units)
         if i < x.size:
             raise ValueError(f"DECIMAL({self.p}, {self.frac}) cannot hold "
                              f"{v.ravel(order='K')[i]}")
+        # a value moves hi by at most 2**32 and lo's carry by 1, so below
+        # this every touched hi stays under 2**62 + rows and lo under 2**63
+        h = np.abs(self.hi[idx])
+        if idx.size and int(h.max()) > (1 << 62) - (idx.size << 32):
+            raise OverflowError(f"DECIMAL({self.p}, {self.frac}): {idx.size} more "
+                                f"rows could carry group {idx[h.argmax()]}'s sum "
+                                f"past 2**93 units")
         x = x.astype(np.int64)
-        if self._two_limb:
-            np.add.at(self.lo, idx, x & 0x7FFFFFFF)
-            np.add.at(self.hi, idx, x >> 31)
-        else:
-            np.add.at(self.table, idx, x.astype(self.table.dtype, copy=False))
-
-    # the traced perfbench run reads this; goes after ROADMAP item 1
-    def merge_from(self, other: "DecimalAcc", base: int, stride: int = 1) -> None:
-        if self._two_limb:
-            dst_lo, dst_hi = self.lo[base::stride], self.hi[base::stride]
-            n = min(dst_lo.size, other.lo.size)
-            dst_lo[:n] += other.lo[:n]
-            dst_hi[:n] += other.hi[:n]
-        else:
-            dst = self.table[base::stride]
-            n = min(dst.size, other.table.size)
-            dst[:n] += other.table[:n]
+        np.add.at(self.lo, idx, x & 0x7FFFFFFF)
+        np.add.at(self.hi, idx, x >> 31)
+        self.hi += self.lo >> 31
+        self.lo &= 0x7FFFFFFF
 
     def exact_ints(self) -> list[int]:
-        """The exact scaled integer sums (arbitrary precision for p=38)."""
-        if self._two_limb:
-            return [int(h) * (1 << 31) + int(l) for h, l in zip(self.hi, self.lo)]
-        return [int(x) for x in self.table]
+        """The exact scaled integer sums; ``OverflowError`` naming the
+        first group whose sum lies past ``10**p - 1`` units."""
+        sums = [(h << 31) + l for h, l in zip(self.hi.tolist(), self.lo.tolist())]
+        top = 10**self.p - 1
+        if sums and (max(sums) > top or min(sums) < -top):
+            g = next(g for g, s in enumerate(sums) if abs(s) > top)
+            raise OverflowError(f"DECIMAL({self.p}, {self.frac}) cannot hold "
+                                f"group {g}'s sum of {sums[g]} units")
+        return sums
 
     def finalize(self) -> np.ndarray:
-        if self._two_limb:
-            return np.array([x / self.scale for x in self.exact_ints()])
-        return self.table.astype(np.float64) / self.scale
+        # each sum rounds to the nearest float64, then the division rounds
+        return np.array(self.exact_ints(), np.float64) / self.scale
 
     def result_bits(self) -> bytes:
-        if self._two_limb:
-            return self.lo.tobytes() + self.hi.tobytes()
-        return self.table.tobytes()
+        return self.lo.tobytes() + self.hi.tobytes()
 
 
 class ReproAcc:

@@ -92,7 +92,9 @@ def pandas_sum_groupby(df: DataFrame, keys, values) -> DataFrame:
     pipeline: the cost of the Python/JVM boundary
     that :func:`rsum_groupby` no longer pays, for perfbench's layer
     numbers and Table IV's pandas-pipeline row. Columns are named
-    ``<v>_rsum`` to be drop-in comparable.
+    ``<v>_rsum`` to be drop-in comparable. As SQL SUM, NULLs add nothing
+    and an all-NULL group sums to NULL; a pandas float column cannot tell
+    NaN from NULL, so a NaN is skipped too (native ``sum`` gives NaN).
     """
     keycols, valcols = _as_list(keys), _as_list(values)
     key_fields = [df.schema[k] for k in keycols]
@@ -102,12 +104,13 @@ def pandas_sum_groupby(df: DataFrame, keys, values) -> DataFrame:
     )
 
     def partial(batches):
-        # one partial sum per group and batch, then one per group; NULL
-        # values add 0 and NULL keys form one group
-        sums = [pdf.groupby(keycols, sort=False, dropna=False)[valcols].sum()
+        # one partial sum per group and batch, then one per group; NULL adds
+        # nothing, an all-NULL sum is NaN (NULL to Spark), NULL keys group
+        sums = [pdf.groupby(keycols, sort=False, dropna=False)[valcols].sum(min_count=1)
                 for pdf in batches if len(pdf)]
         if sums:
-            out = pd.concat(sums).groupby(level=keycols, sort=False, dropna=False).sum()
+            out = pd.concat(sums).groupby(level=keycols, sort=False,
+                                          dropna=False).sum(min_count=1)
             yield out.rename(columns=lambda v: f"{v}_rsum").reset_index()
 
     partials = df.select(*keycols, *valcols).mapInPandas(partial, schema)

@@ -27,7 +27,9 @@ def sorted_sum_groupby(df: DataFrame, keys, values) -> DataFrame:
     unmodified-engine baseline must pay. The fold itself re-sorts each
     group (cheap, already ordered) so the result is a pure function of
     the input multiset regardless of how the range partitioner split the
-    sorted runs.
+    sorted runs. As SQL SUM, NULLs add nothing and an all-NULL group
+    sums to NULL; a pandas float column cannot tell NaN from NULL, so a
+    NaN is skipped too (native ``sum`` gives NaN).
     """
     keycols = [keys] if isinstance(keys, str) else list(keys)
     valcols = [values] if isinstance(values, str) else list(values)
@@ -41,8 +43,8 @@ def sorted_sum_groupby(df: DataFrame, keys, values) -> DataFrame:
         pdf = pdf.sort_values(valcols, kind="stable")
         res = {kc: [pdf[kc].iloc[0]] for kc in keycols}
         for vc in valcols:
-            arr = pdf[vc].to_numpy(np.float64)
-            res[f"{vc}_ssum"] = [np.cumsum(arr)[-1] if arr.size else 0.0]
+            arr = pdf[vc].dropna().to_numpy(np.float64)  # NULL is NaN here
+            res[f"{vc}_ssum"] = [np.cumsum(arr)[-1] if arr.size else None]
         return pd.DataFrame(res)
 
     return df.select(*keycols, *valcols).groupBy(*keycols).applyInPandas(

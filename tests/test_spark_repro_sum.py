@@ -15,15 +15,19 @@ from repro.synth_data import groupby_pairs, np_groupby_input
 
 
 @contextlib.contextmanager
-def _arrow_batch_rows(spark, n: int):
-    """Arrow batches of at most ``n`` rows inside the block."""
-    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+def _conf(spark, key: str, value):
+    """Spark SQL setting ``key`` at ``value`` inside the block."""
     old = spark.conf.get(key)
-    spark.conf.set(key, str(n))
+    spark.conf.set(key, str(value))
     try:
         yield
     finally:
         spark.conf.set(key, old)
+
+
+def _arrow_batch_rows(spark, n: int):
+    """Arrow batches of at most ``n`` rows inside the block."""
+    return _conf(spark, "spark.sql.execution.arrow.maxRecordsPerBatch", n)
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -168,6 +172,19 @@ class TestSemantics:
             ("", 1, 24.0, 12.0), ("a", 1, 9.0, 3.0), ("a", 2, 96.0, 24.0),
             ("b", 0, 48.0, 6.0)]
 
+    def test_pandas_sum_null_groups_like_native_sum(self, spark):
+        """NULL adds nothing and an all-NULL group sums to NULL, as native
+        ``sum``, with a group's NULLs alone in their Arrow batches and in
+        their partitions."""
+        rows = [(1, 1.0), (1, None), (2, None), (3, 2.0)] * 3
+        for parts in (1, 3):
+            df = spark.createDataFrame(spark.sparkContext.parallelize(rows, parts),
+                                       "k long, v double")
+            with _arrow_batch_rows(spark, 1):
+                got = pandas_sum_groupby(df, "k", "v").orderBy("k").collect()
+            want = df.groupBy("k").agg(F.sum("v").alias("v_rsum")).orderBy("k")
+            assert got == want.collect() == [(1, 3.0), (2, None), (3, 6.0)]
+
     def test_dtype_spellings(self, spark):
         """Every NumPy spelling of float32, and Spark's "float", sums in
         float32 as "float32" does; a dtype of no float format raises."""
@@ -276,3 +293,36 @@ class TestNonReproDemo:
         a = rsum_groupby(asc, "k", "v", L=2).collect()[0][1]
         b = rsum_groupby(desc, "k", "v", L=2).collect()[0][1]
         assert a == b == 1.0
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_streaming_aggregation_matches_batch_bits(self, spark, dtype, tmp_path):
+        """``repro_sum`` in a Structured Streaming aggregation over a
+        parquet file source, one file per micro-batch, in ``complete``
+        mode: every group's bits are those of batch ``rsum_groupby``."""
+        keys, vals = np_groupby_input(12_000, 16, dist="mixed", seed=5)
+        src = tmp_path / "src"
+        src.mkdir()
+        for i in range(3):
+            pd.DataFrame({"k": keys[i::3], "v": vals[i::3]}).to_parquet(
+                src / f"part-{i}.parquet")
+        stream = (spark.readStream.schema("k long, v double")
+                  .option("maxFilesPerTrigger", 1).parquet(str(src))
+                  .groupBy("k").agg(repro_sum("v", L=2, dtype=dtype).alias("v_rsum")))
+        name = f"rsum_stream_{dtype}"
+        with _conf(spark, "spark.sql.shuffle.partitions", 4):  # the state's partitions
+            q = (stream.writeStream.outputMode("complete").format("memory")
+                 .queryName(name).option("checkpointLocation", str(tmp_path / "ckpt"))
+                 .start())
+        try:
+            q.processAllAvailable()
+            assert q.lastProgress["batchId"] == 2  # three micro-batches
+            got = spark.table(name).orderBy("k").toPandas()
+        finally:
+            q.stop()
+        want = (rsum_groupby(spark.read.parquet(str(src)), "k", "v", L=2, dtype=dtype)
+                .orderBy("k").toPandas())
+        assert got["k"].tolist() == want["k"].tolist() == list(range(16))
+        assert np.array_equal(_bits(got["v_rsum"].to_numpy(dtype)),
+                              _bits(want["v_rsum"].to_numpy(dtype)))

@@ -28,3 +28,15 @@ def test_multicolumn(spark):
     df = df.withColumn("w", F.col("v") * 2)
     out = sorted_sum_groupby(df, "k", ["v", "w"]).toPandas().sort_values("k")
     np.testing.assert_allclose(out["w_ssum"], out["v_ssum"] * 2, rtol=1e-12)
+
+
+def test_nulls_like_native_sum(spark):
+    """NULL adds nothing and an all-NULL group sums to NULL, as native
+    ``sum``: the fold does not carry a NULL (NaN in pandas) into the sum."""
+    from pyspark.sql import functions as F
+
+    df = spark.createDataFrame([(1, 1.0), (1, None), (2, None), (3, 2.0)],
+                               "k long, v double")
+    got = sorted_sum_groupby(df, "k", "v").orderBy("k").collect()
+    want = df.groupBy("k").agg(F.sum("v").alias("v_ssum")).orderBy("k").collect()
+    assert got == want == [(1, 1.0), (2, None), (3, 2.0)]
